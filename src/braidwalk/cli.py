@@ -36,6 +36,10 @@ from .walks import (
 )
 
 
+class UsageError(Exception):
+    """Invalid input caught outside argparse; exits 1 like argparse errors."""
+
+
 class _Parser(argparse.ArgumentParser):
     """argparse maps usage errors to exit code 2; we reserve 2 for
     computation errors and use 1 for usage."""
@@ -210,6 +214,14 @@ def _lissajous_table_lines(rows, mode, fmt):
     return lines
 
 
+def _env_processes():
+    """Worker process count for the census table from BRAIDWALK_THREADS."""
+    text = os.environ.get("BRAIDWALK_THREADS", "1")
+    if not text.isdigit() or int(text) < 1:
+        raise UsageError("BRAIDWALK_THREADS must be a positive integer, got %r" % text)
+    return int(text)
+
+
 def _cmd_lissajous(args):
     if args.lissajous_cmd == "classify":
         c = classify(args.q, args.p)
@@ -222,7 +234,7 @@ def _cmd_lissajous(args):
         return 0
     if args.lissajous_cmd == "table":
         qs = tuple(q for q in DEFAULT_TABLE_QS if q <= args.qmax)
-        threads = int(os.environ.get("BRAIDWALK_THREADS", "1"))
+        threads = _env_processes()
         if threads > 1:
             with ProcessPoolExecutor(max_workers=threads) as pool:
                 chunks = pool.map(_table_rows, [args.mode] * len(qs), [(q,) for q in qs])
@@ -379,6 +391,9 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
+    except UsageError as exc:
+        print("braidwalk: usage error: %s" % exc, file=sys.stderr)
+        return 1
     except (ValueError, RuntimeError, OverflowError, ZeroDivisionError) as exc:
         print("braidwalk: computation error: %s" % exc, file=sys.stderr)
         return 2

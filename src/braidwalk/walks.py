@@ -10,10 +10,12 @@ as integer numerators over a common power-of-denominator, so convolving and
 summing event probabilities is exact.  A vectorised Monte Carlo path is
 provided as a statistical cross-check for the same hitting probabilities.
 
-Reductions mod p land in Sp(2l, F_p) (or its projective quotient); the module
-also carries small brute-force enumerations of SL(2, p) and Sp(4, 3) used to
-validate the closed-form group orders and to measure zero densities of entry
-polynomials.
+Reductions mod p land in Sp(2l, F_p) (or its projective quotient).  A
+vectorised breadth-first search builds the Cayley table of the subgroup the
+generator images reach; walks on it push exact integer count vectors, and
+zero densities of entry polynomials count over the same enumeration.  Small
+brute-force enumerations of SL(2, p) and Sp(4, 3) stay as independent checks
+of the closed-form group orders.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ import numpy as np
 
 from .braid import BraidWord
 from .burau import burau_minus1, intersection_form, symplectic_image
-from .linalg import Matrix, det_fraction, identity, mat_mul
+from .linalg import Matrix, det_ring, identity, mat_mul
 
 
 # ---------------------------------------------------------------------------
@@ -239,9 +241,11 @@ def monte_carlo_hitting(
 ) -> dict:
     """Monte Carlo estimate of the step-k hitting probability.
 
-    Samples products of k atom images with numpy int64 matmuls; entries of
-    Burau images grow geometrically, so k is capped where int64 could
-    overflow.  predicate may be a callable on nested-tuple matrices or a name
+    Samples products of k atom images with numpy int64 matmuls.  Entries of
+    Burau images grow geometrically, so k is refused before sampling when
+    (largest row-sum norm of an atom image)^k >= 2^62, the a priori bound on
+    every entry and partial sum of a k-fold product; k > 40 is refused
+    outright.  predicate may be a callable on nested-tuple matrices or a name
     from PREDICATES (the named ones use a vectorised path).
 
     Returns a dict with estimate, stderr, a 95% normal-approximation
@@ -265,6 +269,12 @@ def monte_carlo_hitting(
 
     images, denom, d = _atom_images(mu, rep)
     mats = np.array([_unflatten(img, d) for img, _ in images], dtype=np.int64)
+    norm = int(np.abs(mats).sum(axis=2).max())
+    if norm ** k >= 2 ** 62:
+        raise ValueError(
+            "entries may reach %d^%d >= 2^62, beyond int64 sampling; "
+            "use step_distribution" % (norm, k)
+        )
     weights = np.array([wnum for _, wnum in images], dtype=np.float64) / denom
     cum = np.cumsum(weights)
     cum[-1] = 1.0
@@ -278,8 +288,6 @@ def monte_carlo_hitting(
         cur = np.broadcast_to(np.eye(d, dtype=np.int64), (n, d, d)).copy()
         for step in range(k):
             cur = cur @ mats[picks[:, step]]
-        if np.abs(cur).max() >= 2 ** 62:
-            raise OverflowError("matrix entries too large for int64 sampling")
         if np_pred is not None:
             hits += int(np_pred(cur).sum())
         else:
@@ -411,7 +419,68 @@ def count_group_bruteforce(l: int, p: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# entry polynomials and zero densities
+# finite quotients on an indexed Cayley table
+
+
+MAX_GROUP_ORDER = 100_000
+"""Largest group order, |Sp(2l, F_p)| or |PSp(2l, F_p)|, that finite_walk_tv
+and zero_density enumerate; a larger one is refused before any allocation."""
+
+
+def _check_budget(order: int) -> None:
+    if order > MAX_GROUP_ORDER:
+        raise ValueError(
+            "group order %d exceeds MAX_GROUP_ORDER = %d" % (order, MAX_GROUP_ORDER)
+        )
+
+
+def _codes(mats: np.ndarray, p: int, projective: bool) -> np.ndarray:
+    """Integer key of each reduced d x d matrix: its row-major entries as
+    base-p digits; in projective mode the smaller key of M and -M."""
+    flat = mats.reshape(len(mats), -1)
+    place = p ** np.arange(flat.shape[1] - 1, -1, -1, dtype=np.int64)
+    codes = flat @ place
+    if projective:
+        codes = np.minimum(codes, (-flat % p) @ place)
+    return codes
+
+
+def _cayley_table(gens: list, p: int, projective: bool):
+    """Subgroup of Sp(d, F_p) (mod -I if projective) generated by gens.
+
+    Breadth-first search from the identity by right multiplication; in a
+    finite group the products of generators already form the subgroup, so no
+    inverses are needed.  Returns (codes, elements, tables): the element keys
+    sorted ascending, the (size, d, d) array of elements in that order, and
+    for each generator g the index array i -> index of elements[i] @ g.
+    """
+    d = len(gens[0])
+    # keys fit int64; MAX_GROUP_ORDER already keeps p and d far below this
+    assert p ** (d * d) < 2 ** 63
+    g = np.array(gens, dtype=np.int64) % p
+    j = np.array(intersection_form(d), dtype=np.int64)
+    if ((g.transpose(0, 2, 1) @ j @ g - j) % p).any():
+        raise ValueError("generator images are not symplectic mod %d" % p)
+    frontier = np.eye(d, dtype=np.int64)[None]
+    seen = _codes(frontier, p, projective)
+    parts, products = [], []
+    while len(frontier):
+        cand = frontier[:, None] @ g[None]
+        cand = np.remainder(cand, p, out=cand).reshape(-1, d, d)
+        cand_codes = _codes(cand, p, projective)
+        # row i: the keys of frontier[i] @ g, one column per generator g
+        products.append(cand_codes.reshape(len(frontier), len(g)))
+        parts.append(frontier)
+        codes, first = np.unique(cand_codes, return_index=True)
+        new = ~np.isin(codes, seen, assume_unique=True)
+        frontier = cand[first[new]]
+        seen = np.concatenate([seen, codes[new]])
+    order = np.argsort(seen)
+    codes = seen[order]
+    elements = np.concatenate(parts)[order]
+    products = np.concatenate(products)[order]
+    tables = [np.searchsorted(codes, column) for column in products.T]
+    return codes, elements, tables
 
 
 @dataclass(frozen=True)
@@ -425,105 +494,47 @@ class EntryPolynomial:
         return self.fn(m, p) % p
 
 
-def _det_int(m: Matrix) -> int:
-    d = det_fraction(m)
-    return int(d)
-
-
 ENTRY_POLYNOMIALS = {
     "m11": EntryPolynomial("m11", lambda m, p: m[0][0]),
     "m12": EntryPolynomial("m12", lambda m, p: m[0][1]),
     "m21": EntryPolynomial("m21", lambda m, p: m[1][0]),
     "m22": EntryPolynomial("m22", lambda m, p: m[1][1]),
-    "det-1": EntryPolynomial("det-1", lambda m, p: _det_int(m) - 1),
+    "det-1": EntryPolynomial("det-1", lambda m, p: det_ring(m) - 1),
 }
+
+# transvection x -> x + <e1 + e3, x> (e1 + e3) for the tridiagonal form J on
+# Z^4; the 5-strand braid images alone generate a proper subgroup of
+# Sp(4, F_p) for some p (120 of the 720 elements of Sp(4, 2))
+_SP4_TRANSVECTION = ((1, 0, 0, 1), (0, 1, 0, 0), (0, 0, 1, 1), (0, 0, 0, 1))
 
 
 def zero_density(poly, l: int, p: int) -> Fraction:
     """Fraction of Sp(2l, p) where the entry polynomial vanishes mod p.
 
-    Exhaustive: l = 1 needs p <= 13, l = 2 needs p <= 3.
+    Exhaustive over the group, enumerated from the (2l+1)-strand generator
+    images (plus a transvection for l >= 2); refused when |Sp(2l, p)|
+    exceeds MAX_GROUP_ORDER.
     """
     if isinstance(poly, str):
         try:
             poly = ENTRY_POLYNOMIALS[poly]
         except KeyError:
             raise ValueError("unknown entry polynomial %r" % poly) from None
-    if l == 1:
-        group = enumerate_sl2(p)
-    elif l == 2:
-        group = enumerate_sp4(p)
-    else:
-        raise ValueError("exhaustive densities only for l in {1, 2}")
-    zeros = 0
-    total = 0
-    for m in group:
-        total += 1
-        if poly(m, p) == 0:
-            zeros += 1
-    return Fraction(zeros, total)
-
-
-# ---------------------------------------------------------------------------
-# reductions mod p and finite walks
-
-
-@dataclass(frozen=True)
-class FpMatrix:
-    """Matrix over F_p, optionally up to sign (projective quotient).
-
-    entries are reduced to [0, p); in projective mode the representative is
-    the lexicographically smaller of {M, -M}.  Determinant 1 mod p is
-    enforced, since every matrix we reduce comes from Sp(2l, Z).
-    """
-
-    p: int
-    entries: tuple
-    projective: bool = False
-
-    def __post_init__(self):
-        if not _is_prime(self.p) or self.p == 2:
-            raise ValueError("p must be an odd prime")
-        reduced = tuple(tuple(x % self.p for x in row) for row in self.entries)
-        if self.projective:
-            neg = tuple(tuple((-x) % self.p for x in row) for row in reduced)
-            reduced = min(reduced, neg)
-        object.__setattr__(self, "entries", reduced)
-        det = _det_int(reduced) % self.p
-        if det != 1:
-            # the projective representative may be -M, which for odd
-            # dimension flips the determinant sign
-            d = len(reduced)
-            if not (self.projective and d % 2 == 1 and det == self.p - 1):
-                raise ValueError("determinant is not 1 mod %d" % self.p)
-
-    def matmul(self, other: "FpMatrix") -> "FpMatrix":
-        if self.p != other.p or self.projective != other.projective:
-            raise ValueError("incompatible reductions")
-        a, b = self.entries, other.entries
-        d = len(a)
-        prod = tuple(
-            tuple(sum(a[i][k] * b[k][j] for k in range(d)) % self.p for j in range(d))
-            for i in range(d)
+    order = sp_order(l, p)
+    _check_budget(order)
+    gens = [burau_minus1(BraidWord(2 * l + 1, (i,))) for i in range(1, 2 * l + 1)]
+    if l > 1:
+        gens.append(_SP4_TRANSVECTION)
+    _, elements, _ = _cayley_table(gens, p, projective=False)
+    if len(elements) != order:
+        raise RuntimeError(
+            "generators reach %d of the %d elements of Sp(%d, %d)"
+            % (len(elements), order, 2 * l, p)
         )
-        return FpMatrix(self.p, prod, self.projective)
-
-
-def reduce_mod_p(m: Matrix, p: int, projective: bool = False) -> FpMatrix:
-    """Reduce an integer matrix mod an odd prime, optionally up to sign."""
-    return FpMatrix(p, tuple(tuple(int(x) for x in row) for row in m), projective)
-
-
-def finite_step_distribution(
-    mu: GenMeasure, p: int, projective: bool = False, k: int = 1
-) -> dict:
-    """Law of the mod-p walk after k steps, as {FpMatrix: Fraction}."""
-    dist = step_distribution(mu, rep=symplectic_image, k=k)
-    out: dict = {}
-    for m, prob in dist.probs.items():
-        key = reduce_mod_p(m, p, projective)
-        out[key] = out.get(key, Fraction(0)) + prob
-    return out
+    zeros = sum(
+        1 for m in elements if poly(tuple(map(tuple, m.tolist())), p) == 0
+    )
+    return Fraction(zeros, order)
 
 
 @dataclass(frozen=True)
@@ -535,26 +546,6 @@ class FiniteWalkResult:
     tv: tuple
 
 
-def _semigroup_closure(gens: list, cap: int) -> set:
-    """Closure of the generators under multiplication, capped at cap elements.
-
-    In a finite group the semigroup generated by a set equals the subgroup it
-    generates, so no inverses are needed.
-    """
-    seen = set(gens)
-    frontier = list(seen)
-    while frontier and len(seen) <= cap:
-        nxt = []
-        for x in frontier:
-            for g in gens:
-                y = x.matmul(g)
-                if y not in seen:
-                    seen.add(y)
-                    nxt.append(y)
-        frontier = nxt
-    return seen
-
-
 def finite_walk_tv(
     mu: GenMeasure, p: int, projective: bool = False, steps: int = 200
 ) -> FiniteWalkResult:
@@ -562,46 +553,41 @@ def finite_walk_tv(
 
     The walk lives in Sp(2l, F_p) (or PSp for projective=True) where
     2l = strands - 1 rounded down to even.  The TV sequence starts at step 0
-    (distance 1 - 1/|G| from the point mass at the identity).  A breadth
-    first closure of the support images decides whether they generate the
-    whole group; if not, the TV floor is positive and `generated` is False.
+    (distance 1 - 1/|G| from the point mass at the identity).  The walk runs
+    on the Cayley table of the subgroup H the support images generate: the
+    step-k law is a vector of integer counts over denom^k, pushed through
+    each generator's permutation of H.  If H is not the whole group the TV
+    floor is positive and `generated` is False.  Groups above
+    MAX_GROUP_ORDER are refused.
     """
     n = mu.strands
     l = (n - 1) // 2
     if l < 1:
         raise ValueError("need at least 3 strands for a symplectic image")
     order = psp_order(l, p) if projective else sp_order(l, p)
-    uniform = Fraction(1, order)
-
-    gens = [
-        reduce_mod_p(symplectic_image(word), p, projective) for word, _ in mu.atoms
-    ]
-    closure = _semigroup_closure(gens, order)
-    generated = len(closure) == order
+    if p == 2:
+        raise ValueError("p must be an odd prime")
+    _check_budget(order)
 
     images, denom, d = _atom_images(mu, symplectic_image)
-    fp_images = [
-        (reduce_mod_p(_unflatten(img, d), p, projective), wnum) for img, wnum in images
-    ]
-
-    ident = reduce_mod_p(identity(d), p, projective)
-    dist = {ident: 1}
+    codes, elements, tables = _cayley_table(
+        [_unflatten(img, d) for img, _ in images], p, projective
+    )
+    size = len(elements)
+    # new[table[i]] += w * old[i], i.e. a gather through the inverse permutation
+    pushes = [(wnum, np.argsort(table)) for (_, wnum), table in zip(images, tables)]
+    start = np.searchsorted(codes, _codes(np.eye(d, dtype=np.int64)[None], p, projective))
+    counts = np.zeros(size, dtype=object)  # exact Python ints: denom^k overflows int64
+    counts[start] = 1
     tv = []
     for k in range(steps + 1):
         scale = denom ** k
-        diff_support = Fraction(0)
-        for _, num in dist.items():
-            diff_support += abs(Fraction(num, scale) - uniform)
-        off_support = (order - len(dist)) * uniform
-        tv.append((diff_support + off_support) / 2)
+        # sum over H of |count/scale - 1/|G|| plus 1/|G| for each element off H
+        num = np.abs(counts * order - scale).sum() + (order - size) * scale
+        tv.append(Fraction(int(num), 2 * scale * order))
         if k == steps:
             break
-        new: dict = {}
-        for key, num in dist.items():
-            for img, wnum in fp_images:
-                nk = key.matmul(img)
-                new[nk] = new.get(nk, 0) + num * wnum
-        dist = new
+        counts = sum(wnum * counts[inv] for wnum, inv in pushes)
     return FiniteWalkResult(
-        p=p, projective=projective, group_order=order, generated=generated, tv=tuple(tv)
+        p=p, projective=projective, group_order=order, generated=size == order, tv=tuple(tv)
     )

@@ -308,14 +308,14 @@ def test_08_parametrization_oracle_agrees_on_both_odd_pairs():
 # The two eligibility modes disagree on which (q, p) pairs a row counts, and
 # the literal mode lands on exactly 1/2 for q in {7, 13}; those two rows are
 # strict expected failures rather than a loosened bound.  The full two-mode
-# table is written to tables/two_mode_census.csv for audit.
+# table is rebuilt in a temporary directory and must equal the committed
+# tables/two_mode_census.csv byte for byte.
 
 
 @pytest.fixture(scope="module")
-def census():
+def census(tmp_path_factory):
     tables = {mode: {row["q"]: row for row in percentage_table(mode=mode)}
               for mode in ("literal", "full-range")}
-    TABLES_DIR.mkdir(exist_ok=True)
     lines = ["q,mode,numerator,denominator,fraction,percent"]
     for mode in ("literal", "full-range"):
         for q in DEFAULT_TABLE_QS:
@@ -323,7 +323,9 @@ def census():
             lines.append("%d,%s,%d,%d,%s,%d" % (
                 q, mode, row["numerator"], row["denominator"],
                 row["fraction"], row["percent"]))
-    (TABLES_DIR / "two_mode_census.csv").write_text("\n".join(lines) + "\n")
+    out = tmp_path_factory.mktemp("census") / "two_mode_census.csv"
+    out.write_text("\n".join(lines) + "\n")
+    assert out.read_bytes() == (TABLES_DIR / "two_mode_census.csv").read_bytes()
     return tables
 
 

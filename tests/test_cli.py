@@ -1,6 +1,7 @@
 """End-to-end checks of the braidwalk command line interface."""
 
 import json
+import time
 
 import pytest
 
@@ -94,6 +95,17 @@ def test_finite_walk(capsys):
     assert len(lines) == 3 + 7  # steps 0..6
 
 
+@pytest.mark.parametrize("argv", [
+    ("finite-walk", "--p", "101"),
+    ("density", "--l", "2", "--p", "5"),
+], ids=["finite-walk-p101", "density-l2-p5"])
+def test_group_order_budget_exits_2(capsys, argv):
+    start = time.monotonic()
+    rc, _, err = run(capsys, *argv)
+    assert time.monotonic() - start < 1.0
+    assert rc == 2 and "MAX_GROUP_ORDER" in err
+
+
 def test_lissajous_classify(capsys):
     rc, out, _ = run(capsys, "lissajous", "classify", "--q", "5", "--p", "7")
     assert rc == 0
@@ -111,6 +123,13 @@ def test_lissajous_table_csv(capsys):
     assert lines[2] == "q,numerator,denominator,fraction,percent"
     assert lines[3] == "5,3,5,3/5,60"
     assert lines[6] == "13,7,13,7/13,53"
+
+
+@pytest.mark.parametrize("value", ["two", "0"])
+def test_invalid_braidwalk_threads_is_usage_error(capsys, monkeypatch, value):
+    monkeypatch.setenv("BRAIDWALK_THREADS", value)
+    rc, _, err = run(capsys, "lissajous", "table", "--qmax", "7")
+    assert rc == 1 and "BRAIDWALK_THREADS" in err
 
 
 def test_lissajous_table_markdown(capsys):

@@ -2,18 +2,20 @@
 
 from fractions import Fraction
 
+import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from braidwalk.braid import BraidWord
 from braidwalk.burau import burau_minus1, symplectic_image
 from braidwalk.linalg import identity
 from braidwalk.walks import (
     ENTRY_POLYNOMIALS,
-    FpMatrix,
     GenMeasure,
+    MAX_GROUP_ORDER,
     count_group_bruteforce,
-    finite_step_distribution,
+    enumerate_sl2,
+    enumerate_sp4,
     finite_walk_tv,
     hitting_probability,
     hitting_series,
@@ -21,11 +23,13 @@ from braidwalk.walks import (
     predicate_all_entries_big,
     predicate_z11,
     psp_order,
-    reduce_mod_p,
     sp_order,
     step_distribution,
     zero_density,
 )
+
+import fp_oracle
+from fp_oracle import FpMatrix, finite_step_distribution, reduce_mod_p
 
 MU3 = GenMeasure.uniform_generators(3)
 
@@ -99,6 +103,16 @@ def test_monte_carlo_validation():
         monte_carlo_hitting(MU3, "no-such-predicate", 3, trials=10)
 
 
+def test_monte_carlo_refuses_overflow_before_sampling(monkeypatch):
+    def no_sampling(*args, **kwargs):
+        raise AssertionError("sampling started")
+
+    monkeypatch.setattr(np.random, "default_rng", no_sampling)
+    # 5-strand images have row-sum norm 3 and 3^40 > 2^62
+    with pytest.raises(ValueError, match="2\\^62"):
+        monte_carlo_hitting(GenMeasure.uniform_generators(5), "z11", 40, trials=10)
+
+
 def test_sp_orders():
     assert sp_order(1, 3) == 24
     assert sp_order(1, 5) == 120
@@ -133,6 +147,28 @@ def test_zero_density_anchors():
 def test_zero_density_sp4_regression():
     # corner-entry vanishing locus in Sp(4, 3); frozen from the exhaustive run
     assert zero_density("m11", 2, 3) == Fraction(13, 40)
+
+
+@pytest.mark.parametrize("l,p", [(1, 2), (1, 3), (1, 5), (1, 7), (1, 11), (1, 13),
+                                 (2, 2), (2, 3)])
+def test_zero_density_matches_bruteforce_count(l, p):
+    group = list(enumerate_sl2(p) if l == 1 else enumerate_sp4(p))
+    assert len(group) == sp_order(l, p)
+    for name, poly in ENTRY_POLYNOMIALS.items():
+        zeros = sum(1 for m in group if poly(m, p) == 0)
+        assert zero_density(name, l, p) == Fraction(zeros, len(group)), name
+
+
+def test_group_order_budget():
+    assert sp_order(1, 43) <= MAX_GROUP_ORDER < sp_order(1, 47)
+    assert sp_order(2, 3) <= MAX_GROUP_ORDER < sp_order(2, 5)
+    # the budget replaces the old brute-force caps p <= 13 and p <= 3
+    assert zero_density("m11", 1, 43) == Fraction(1, 44)
+    for call in (lambda: zero_density("m11", 2, 5),
+                 lambda: zero_density("m11", 1, 47),
+                 lambda: finite_walk_tv(MU3, 101, steps=1)):
+        with pytest.raises(ValueError, match="MAX_GROUP_ORDER"):
+            call()
 
 
 def test_fp_matrix_canonicalization():
@@ -183,6 +219,32 @@ def test_finite_walk_tv_small():
     assert proj.tv[0] == 1 - Fraction(1, 12)
     with pytest.raises(ValueError):
         finite_walk_tv(GenMeasure.uniform_generators(2), 3, steps=5)
+    with pytest.raises(ValueError):
+        finite_walk_tv(MU3, 2, steps=5)
+
+
+# sigma_1^(+-1) only: generates the order-p unipotent subgroup, not SL(2, p)
+HALF = Fraction(1, 2)
+NON_GENERATING = GenMeasure(((BraidWord(3, (1,)), HALF), (BraidWord(3, (-1,)), HALF)))
+
+
+@given(
+    st.sampled_from([MU3, GenMeasure.uniform_generators(4), NON_GENERATING]),
+    st.sampled_from([3, 5, 7]),
+    st.booleans(),
+    st.integers(min_value=0, max_value=25),
+)
+@example(NON_GENERATING, 7, False, 25)
+@example(GenMeasure.uniform_generators(4), 7, True, 25)
+@settings(max_examples=10, deadline=None)
+def test_finite_walk_tv_matches_dict_oracle(mu, p, projective, steps):
+    fast = finite_walk_tv(mu, p, projective=projective, steps=steps)
+    slow = fp_oracle.finite_walk_tv(mu, p, projective=projective, steps=steps)
+    assert fast.tv == slow.tv
+    assert fast.group_order == slow.group_order
+    assert fast.generated == slow.generated
+    if mu is NON_GENERATING:
+        assert not fast.generated and fast.tv[-1] > 0
 
 
 @given(st.integers(min_value=0, max_value=5))
