@@ -80,8 +80,6 @@ def _cmd_burau(args):
         m = burau_matrix(word)
         payload = [[repr(entry) for entry in row] for row in m]
     else:
-        if args.at != -1:
-            raise ValueError("only the integer specialization t = -1 is supported")
         payload = [list(row) for row in burau_minus1(word)]
     print(json.dumps({"strands": args.strands, "matrix": payload}))
     return 0
@@ -137,15 +135,16 @@ def _walk_rows(args):
         )
     rows = []
     if args.exact:
-        series = hitting_series(mu, PREDICATES[args.predicate][0], args.steps)
+        series = hitting_series(mu, args.predicate, args.steps)
         for k in range(1, args.steps + 1):
             rows.append((k, series[k], float(series[k])))
     else:
+        est = monte_carlo_hitting(
+            mu, args.predicate, args.steps, trials=args.trials, seed=args.seed
+        )
         for k in range(1, args.steps + 1):
-            est = monte_carlo_hitting(
-                mu, args.predicate, k, trials=args.trials, seed=args.seed
-            )
-            rows.append((k, Fraction(est["hits"], est["trials"]), est["estimate"]))
+            hits = est["hits_by_step"][k]
+            rows.append((k, Fraction(hits, args.trials), hits / args.trials))
     return rows
 
 
@@ -244,8 +243,6 @@ def _cmd_lissajous(args):
         _emit(_lissajous_table_lines(rows, args.mode, args.format), args.out)
         return 0
     if args.lissajous_cmd == "sample":
-        if args.N != 3:
-            raise ValueError("only 3-strand curves are supported")
         poly = sample_polyline(args.q, args.p, alpha=args.alpha, samples=args.samples)
         payload = json.dumps(poly)
         if args.out:
@@ -270,7 +267,7 @@ def _cmd_reproduce(args):
     os.makedirs(args.out_dir, exist_ok=True)
 
     mu = GenMeasure.uniform_generators(3)
-    series = hitting_series(mu, PREDICATES["z11"][0], 12)
+    series = hitting_series(mu, "z11", 12)
     lines = _header_lines()
     lines.append("step,exact_rational,decimal")
     for k in range(1, 13):
@@ -302,7 +299,6 @@ def build_parser():
     p = sub.add_parser("burau", help="Burau matrix of a braid word")
     p.add_argument("--word", required=True, help="signed generator indices, e.g. '1 -2'")
     p.add_argument("--strands", type=int, required=True)
-    p.add_argument("--at", type=int, default=-1, help="integer evaluation point (only -1)")
     p.add_argument("--generic", action="store_true", help="emit Laurent-polynomial entries")
     p.set_defaults(fn=_cmd_burau)
 
@@ -323,10 +319,10 @@ def build_parser():
     p.add_argument("--g2", required=True)
     p.set_defaults(fn=_cmd_meyer)
 
-    p = sub.add_parser("walk", help="hitting probabilities of the Burau walk")
+    p = sub.add_parser(
+        "walk", help="hitting probabilities of the Burau walk, uniform on generators"
+    )
     p.add_argument("--strands", type=int, default=3)
-    p.add_argument("--measure", default="uniform4",
-                   help="only 'uniform4' (uniform on generators and inverses)")
     p.add_argument("--predicate", default="z11")
     p.add_argument("--steps", type=int, default=12)
     p.add_argument("--exact", action="store_true", help="exact convolution instead of sampling")
@@ -365,7 +361,6 @@ def build_parser():
     pt.set_defaults(fn=_cmd_lissajous)
 
     ps = lsub.add_parser("sample", help="export the space curve as a polyline")
-    ps.add_argument("--N", type=int, default=3)
     ps.add_argument("--q", type=int, required=True)
     ps.add_argument("--p", type=int, required=True)
     ps.add_argument("--alpha", type=float, default=0.0)

@@ -5,10 +5,11 @@ k-fold convolution mu^(k) is the law of a product of k independent
 mu-distributed letters; pushing it forward through burau_minus1 gives a walk
 on an integer matrix group, and for odd n that group sits inside Sp(n-1, Z).
 
-Everything on the exact side is integer arithmetic: distributions are stored
-as integer numerators over a common power-of-denominator, so convolving and
-summing event probabilities is exact.  A vectorised Monte Carlo path is
-provided as a statistical cross-check for the same hitting probabilities.
+Everything on the exact side is integer arithmetic: the law after k steps is
+a sorted int64 array of distinct matrices with integer numerators over a
+common power-of-denominator, so convolving and summing event probabilities
+is exact.  A vectorised Monte Carlo path, one sampled run recording every
+prefix, is a statistical cross-check for the same hitting probabilities.
 
 Reductions mod p land in Sp(2l, F_p) (or its projective quotient).  A
 vectorised breadth-first search builds the Cayley table of the subgroup the
@@ -28,7 +29,7 @@ import numpy as np
 
 from .braid import BraidWord
 from .burau import burau_minus1, intersection_form, symplectic_image
-from .linalg import Matrix, det_ring, identity, mat_mul
+from .linalg import Matrix, det_ring
 
 
 # ---------------------------------------------------------------------------
@@ -92,70 +93,103 @@ class WalkDistribution:
         return sum(self.probs.values(), Fraction(0))
 
 
-def _flatten(m: Matrix) -> tuple:
-    return tuple(x for row in m for x in row)
-
-
-def _unflatten(flat: tuple, d: int) -> Matrix:
-    return tuple(flat[i * d:(i + 1) * d] for i in range(d))
-
-
-def _mul_flat_2(a: tuple, b: tuple) -> tuple:
-    a0, a1, a2, a3 = a
-    b0, b1, b2, b3 = b
-    return (
-        a0 * b0 + a1 * b2,
-        a0 * b1 + a1 * b3,
-        a2 * b0 + a3 * b2,
-        a2 * b1 + a3 * b3,
-    )
-
-
-def _atom_images(mu: GenMeasure, rep) -> tuple[list, int, int]:
-    """Flattened rep images with integer weights over a common denominator."""
+def _atom_images(mu: GenMeasure, rep) -> tuple[np.ndarray, list, int]:
+    """Atom images as an (atoms, d, d) int64 array, and the atom weights as
+    integer numerators over their common denominator."""
     denom = 1
     for _, weight in mu.atoms:
         denom = denom * weight.denominator // gcd(denom, weight.denominator)
-    images = []
-    for word, weight in mu.atoms:
-        m = rep(word)
-        images.append((_flatten(m), weight.numerator * (denom // weight.denominator)))
-    d = len(rep(mu.atoms[0][0]))
-    return images, denom, d
+    mats = np.array([rep(word) for word, _ in mu.atoms], dtype=np.int64)
+    wnums = [weight.numerator * (denom // weight.denominator) for _, weight in mu.atoms]
+    return mats, wnums, denom
 
 
-def _convolve_states(states: dict, images: list, d: int) -> dict:
-    new: dict = {}
-    if d == 2:
-        for key, num in states.items():
-            for img, wnum in images:
-                nk = _mul_flat_2(key, img)
-                if nk in new:
-                    new[nk] += num * wnum
-                else:
-                    new[nk] = num * wnum
-    else:
-        for key, num in states.items():
-            a = _unflatten(key, d)
-            for img, wnum in images:
-                nk = _flatten(mat_mul(a, _unflatten(img, d)))
-                if nk in new:
-                    new[nk] += num * wnum
-                else:
-                    new[nk] = num * wnum
-    return new
+def _check_entry_bound(mats: np.ndarray, k: int) -> None:
+    """Refuse k when a product of k atom images could leave int64.
+
+    (largest row-sum norm of an atom image)^k bounds every entry and every
+    partial sum of such a product, so the check runs before any work.
+    """
+    norm = int(np.abs(mats).sum(axis=2).max())
+    if norm ** k >= 2 ** 62:
+        raise ValueError(
+            "entries may reach %d^%d >= 2^62, beyond int64 arithmetic" % (norm, k)
+        )
+
+
+def _merge(states: np.ndarray, counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Sort the (N, d, d) states and add up the counts of equal ones.
+
+    Entries are shifted by max|entry| to digits in base 2 max|entry| + 1,
+    and each row is packed into as few int64 words as hold it; lexsort on
+    the words (a plain argsort for one word) orders the rows
+    lexicographically.
+    """
+    flat = states.reshape(len(states), -1)
+    bound = int(np.abs(flat).max())
+    base = 2 * bound + 1
+    width = 1
+    while width < flat.shape[1] and base ** (width + 1) < 2 ** 63:
+        width += 1
+    words = []
+    for lo in range(0, flat.shape[1], width):
+        word = 0
+        for digits in (flat[:, lo:lo + width] + bound).T:
+            word = word * base + digits
+        words.append(word)
+    order = np.argsort(words[0]) if len(words) == 1 else np.lexsort(words[::-1])
+    starts = np.zeros(len(order), dtype=bool)
+    starts[0] = True
+    for word in words:
+        word = word[order]
+        starts[1:] |= word[1:] != word[:-1]
+    starts = np.flatnonzero(starts)
+    return states[order[starts]], np.add.reduceat(counts[order], starts)
+
+
+def _walk_laws(mu: GenMeasure, rep, kmax: int):
+    """Exact laws of the walk at steps k = 0..kmax.
+
+    Yields (states, counts, scale) per step: the distinct (N, d, d) int64
+    matrices in lexicographic order and their counts, which sum to
+    scale = denom^k.  One step is a batched matmul of every state with every
+    atom image, then a sort and a segment sum.  Counts are int64 while
+    denom^kmax < 2^63 and exact Python ints (object dtype) beyond; kmax is
+    refused before any work when entries could leave int64.
+    """
+    if kmax < 0:
+        raise ValueError("step count must be >= 0")
+    mats, wnums, denom = _atom_images(mu, rep)
+    _check_entry_bound(mats, kmax)
+    dtype = np.int64 if denom ** max(kmax, 1) < 2 ** 63 else object
+    weights = np.array(wnums, dtype=dtype)
+    d = mats.shape[1]
+    states = np.eye(d, dtype=np.int64)[None]
+    counts = np.ones(1, dtype=dtype)
+    yield states, counts, 1
+    for k in range(1, kmax + 1):
+        states = (states[:, None] @ mats[None]).reshape(-1, d, d)
+        counts = (counts[:, None] * weights).reshape(-1)
+        states, counts = _merge(states, counts)
+        yield states, counts, denom ** k
+
+
+def _matrices(states: np.ndarray) -> list:
+    """The (N, d, d) states as nested-tuple matrices of Python ints, built
+    column by column: one list per entry position, zipped into rows and then
+    into matrices."""
+    n, d, _ = states.shape
+    columns = states.reshape(n, -1).T.tolist()
+    return list(zip(*(zip(*columns[i:i + d]) for i in range(0, d * d, d))))
 
 
 def step_distribution(mu: GenMeasure, rep=burau_minus1, k: int = 1) -> WalkDistribution:
     """Exact pushforward of the k-fold convolution of mu through rep."""
-    if k < 0:
-        raise ValueError("step count must be >= 0")
-    images, denom, d = _atom_images(mu, rep)
-    states = {_flatten(identity(d)): 1}
-    for _ in range(k):
-        states = _convolve_states(states, images, d)
-    scale = denom ** k
-    probs = {_unflatten(key, d): Fraction(num, scale) for key, num in states.items()}
+    for states, counts, scale in _walk_laws(mu, rep, k):
+        pass
+    probs = {
+        m: Fraction(c, scale) for m, c in zip(_matrices(states), counts.tolist())
+    }
     return WalkDistribution(step=k, probs=probs)
 
 
@@ -187,41 +221,44 @@ PREDICATES = {
 }
 
 
+def _resolve_predicate(predicate) -> tuple:
+    """(callable, numpy version or None) for a name from PREDICATES or a
+    callable; the named predicates' own callables get their numpy version."""
+    if isinstance(predicate, str):
+        try:
+            return PREDICATES[predicate]
+        except KeyError:
+            raise ValueError("unknown predicate %r" % predicate) from None
+    for py_fn, np_fn in PREDICATES.values():
+        if predicate is py_fn:
+            return py_fn, np_fn
+    return predicate, None
+
+
 def hitting_series(
     mu: GenMeasure, predicate, kmax: int, rep=burau_minus1
 ) -> list[Fraction]:
     """Exact values of P(predicate holds at step k) for k = 0..kmax.
 
-    One DP pass; the predicate is evaluated once per distinct matrix.
-    predicate may be a callable on nested-tuple matrices or a name from
-    PREDICATES.
+    One DP pass.  predicate may be a name from PREDICATES or a callable on
+    nested-tuple matrices; the named predicates run vectorised on each
+    step's states, any other callable once per distinct matrix over all
+    steps.
     """
-    if kmax < 0:
-        raise ValueError("step count must be >= 0")
-    if isinstance(predicate, str):
-        try:
-            predicate = PREDICATES[predicate][0]
-        except KeyError:
-            raise ValueError("unknown predicate %r" % predicate) from None
-    images, denom, d = _atom_images(mu, rep)
-    states = {_flatten(identity(d)): 1}
+    predicate, np_pred = _resolve_predicate(predicate)
     seen: dict = {}
-
-    def mass(st: dict, scale: int) -> Fraction:
-        hit = 0
-        for key, num in st.items():
-            flag = seen.get(key)
-            if flag is None:
-                flag = bool(predicate(_unflatten(key, d)))
-                seen[key] = flag
-            if flag:
-                hit += num
-        return Fraction(hit, scale)
-
-    out = [mass(states, 1)]
-    for k in range(1, kmax + 1):
-        states = _convolve_states(states, images, d)
-        out.append(mass(states, denom ** k))
+    out = []
+    for states, counts, scale in _walk_laws(mu, rep, kmax):
+        if np_pred is not None:
+            hit = np_pred(states)
+        else:
+            hit = []
+            for m in _matrices(states):
+                flag = seen.get(m)
+                if flag is None:
+                    flag = seen[m] = bool(predicate(m))
+                hit.append(flag)
+        out.append(Fraction(int(counts[np.array(hit, dtype=bool)].sum()), scale))
     return out
 
 
@@ -241,61 +278,51 @@ def monte_carlo_hitting(
 ) -> dict:
     """Monte Carlo estimate of the step-k hitting probability.
 
-    Samples products of k atom images with numpy int64 matmuls.  Entries of
-    Burau images grow geometrically, so k is refused before sampling when
+    Samples products of k atom images with numpy int64 matmuls and checks
+    the predicate after every step, so one run gives every prefix.  Entries
+    of Burau images grow geometrically, so k is refused before sampling when
     (largest row-sum norm of an atom image)^k >= 2^62, the a priori bound on
     every entry and partial sum of a k-fold product; k > 40 is refused
     outright.  predicate may be a callable on nested-tuple matrices or a name
     from PREDICATES (the named ones use a vectorised path).
 
     Returns a dict with estimate, stderr, a 95% normal-approximation
-    confidence interval, raw hit/trial counts and the seed.
+    confidence interval, raw hit/trial counts, the seed, and hits_by_step:
+    the hit counts after 0..k steps of the same sampled walks.
     """
     if k > 40:
         raise ValueError("k > 40 risks int64 overflow; use step_distribution")
+    if k < 0:
+        raise ValueError("step count must be >= 0")
     if trials <= 0:
         raise ValueError("trials must be positive")
-    np_pred = None
-    if isinstance(predicate, str):
-        try:
-            predicate, np_pred = PREDICATES[predicate]
-        except KeyError:
-            raise ValueError("unknown predicate %r" % predicate) from None
-    else:
-        for py_fn, np_fn in PREDICATES.values():
-            if predicate is py_fn:
-                np_pred = np_fn
-                break
-
-    images, denom, d = _atom_images(mu, rep)
-    mats = np.array([_unflatten(img, d) for img, _ in images], dtype=np.int64)
-    norm = int(np.abs(mats).sum(axis=2).max())
-    if norm ** k >= 2 ** 62:
-        raise ValueError(
-            "entries may reach %d^%d >= 2^62, beyond int64 sampling; "
-            "use step_distribution" % (norm, k)
-        )
-    weights = np.array([wnum for _, wnum in images], dtype=np.float64) / denom
+    predicate, np_pred = _resolve_predicate(predicate)
+    mats, wnums, denom = _atom_images(mu, rep)
+    _check_entry_bound(mats, k)
+    d = mats.shape[1]
+    weights = np.array(wnums, dtype=np.float64) / denom
     cum = np.cumsum(weights)
     cum[-1] = 1.0
 
+    def count_hits(cur: np.ndarray) -> int:
+        if np_pred is not None:
+            return int(np_pred(cur).sum())
+        return sum(1 for m in _matrices(cur) if predicate(m))
+
     rng = np.random.default_rng(seed)
-    hits = 0
+    hits_by_step = [0] * (k + 1)
     done = 0
     while done < trials:
         n = min(batch, trials - done)
         picks = np.searchsorted(cum, rng.random((n, k)), side="right")
         cur = np.broadcast_to(np.eye(d, dtype=np.int64), (n, d, d)).copy()
+        hits_by_step[0] += count_hits(cur)
         for step in range(k):
             cur = cur @ mats[picks[:, step]]
-        if np_pred is not None:
-            hits += int(np_pred(cur).sum())
-        else:
-            for row in cur:
-                if predicate(tuple(tuple(int(x) for x in r) for r in row)):
-                    hits += 1
+            hits_by_step[step + 1] += count_hits(cur)
         done += n
 
+    hits = hits_by_step[k]
     est = hits / trials
     stderr = (est * (1 - est) / trials) ** 0.5
     return {
@@ -305,6 +332,7 @@ def monte_carlo_hitting(
         "hits": hits,
         "trials": trials,
         "seed": seed,
+        "hits_by_step": hits_by_step,
     }
 
 
@@ -569,13 +597,12 @@ def finite_walk_tv(
         raise ValueError("p must be an odd prime")
     _check_budget(order)
 
-    images, denom, d = _atom_images(mu, symplectic_image)
-    codes, elements, tables = _cayley_table(
-        [_unflatten(img, d) for img, _ in images], p, projective
-    )
+    mats, wnums, denom = _atom_images(mu, symplectic_image)
+    d = mats.shape[1]
+    codes, elements, tables = _cayley_table(mats, p, projective)
     size = len(elements)
     # new[table[i]] += w * old[i], i.e. a gather through the inverse permutation
-    pushes = [(wnum, np.argsort(table)) for (_, wnum), table in zip(images, tables)]
+    pushes = [(wnum, np.argsort(table)) for wnum, table in zip(wnums, tables)]
     start = np.searchsorted(codes, _codes(np.eye(d, dtype=np.int64)[None], p, projective))
     counts = np.zeros(size, dtype=object)  # exact Python ints: denom^k overflows int64
     counts[start] = 1

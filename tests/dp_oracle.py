@@ -1,0 +1,114 @@
+"""Slow reference for the exact walk DP: the law of the walk as a dict from
+flattened integer matrices to integer numerators over denom^k, convolved one
+atom at a time in pure Python.
+
+braidwalk.walks runs the same convolution on sorted int64 state arrays; the
+tests compare the two.
+"""
+
+from __future__ import annotations
+
+from fractions import Fraction
+from math import gcd
+
+from braidwalk.burau import burau_minus1
+from braidwalk.linalg import Matrix, identity, mat_mul
+from braidwalk.walks import PREDICATES, GenMeasure, WalkDistribution
+
+
+def _flatten(m: Matrix) -> tuple:
+    return tuple(x for row in m for x in row)
+
+
+def _unflatten(flat: tuple, d: int) -> Matrix:
+    return tuple(flat[i * d:(i + 1) * d] for i in range(d))
+
+
+def _mul_flat_2(a: tuple, b: tuple) -> tuple:
+    a0, a1, a2, a3 = a
+    b0, b1, b2, b3 = b
+    return (
+        a0 * b0 + a1 * b2,
+        a0 * b1 + a1 * b3,
+        a2 * b0 + a3 * b2,
+        a2 * b1 + a3 * b3,
+    )
+
+
+def _atom_images(mu: GenMeasure, rep) -> tuple[list, int, int]:
+    """Flattened rep images with integer weights over a common denominator."""
+    denom = 1
+    for _, weight in mu.atoms:
+        denom = denom * weight.denominator // gcd(denom, weight.denominator)
+    images = []
+    for word, weight in mu.atoms:
+        m = rep(word)
+        images.append((_flatten(m), weight.numerator * (denom // weight.denominator)))
+    d = len(rep(mu.atoms[0][0]))
+    return images, denom, d
+
+
+def _convolve_states(states: dict, images: list, d: int) -> dict:
+    new: dict = {}
+    if d == 2:
+        for key, num in states.items():
+            for img, wnum in images:
+                nk = _mul_flat_2(key, img)
+                if nk in new:
+                    new[nk] += num * wnum
+                else:
+                    new[nk] = num * wnum
+    else:
+        for key, num in states.items():
+            a = _unflatten(key, d)
+            for img, wnum in images:
+                nk = _flatten(mat_mul(a, _unflatten(img, d)))
+                if nk in new:
+                    new[nk] += num * wnum
+                else:
+                    new[nk] = num * wnum
+    return new
+
+
+def step_distribution(mu: GenMeasure, rep=burau_minus1, k: int = 1) -> WalkDistribution:
+    """Exact pushforward of the k-fold convolution of mu through rep."""
+    if k < 0:
+        raise ValueError("step count must be >= 0")
+    images, denom, d = _atom_images(mu, rep)
+    states = {_flatten(identity(d)): 1}
+    for _ in range(k):
+        states = _convolve_states(states, images, d)
+    scale = denom ** k
+    probs = {_unflatten(key, d): Fraction(num, scale) for key, num in states.items()}
+    return WalkDistribution(step=k, probs=probs)
+
+
+def hitting_series(
+    mu: GenMeasure, predicate, kmax: int, rep=burau_minus1
+) -> list[Fraction]:
+    """Exact values of P(predicate holds at step k) for k = 0..kmax, with the
+    predicate evaluated once per distinct matrix."""
+    if kmax < 0:
+        raise ValueError("step count must be >= 0")
+    if isinstance(predicate, str):
+        predicate = PREDICATES[predicate][0]
+    images, denom, d = _atom_images(mu, rep)
+    states = {_flatten(identity(d)): 1}
+    seen: dict = {}
+
+    def mass(st: dict, scale: int) -> Fraction:
+        hit = 0
+        for key, num in st.items():
+            flag = seen.get(key)
+            if flag is None:
+                flag = bool(predicate(_unflatten(key, d)))
+                seen[key] = flag
+            if flag:
+                hit += num
+        return Fraction(hit, scale)
+
+    out = [mass(states, 1)]
+    for k in range(1, kmax + 1):
+        states = _convolve_states(states, images, d)
+        out.append(mass(states, denom ** k))
+    return out

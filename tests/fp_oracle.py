@@ -15,13 +15,11 @@ from braidwalk.linalg import Matrix, det_fraction, identity
 from braidwalk.walks import (
     FiniteWalkResult,
     GenMeasure,
-    _atom_images,
     _is_prime,
-    _unflatten,
     psp_order,
     sp_order,
-    step_distribution,
 )
+from dp_oracle import _atom_images, _unflatten, step_distribution
 
 
 @dataclass(frozen=True)

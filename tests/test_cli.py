@@ -2,10 +2,12 @@
 
 import json
 import time
+from fractions import Fraction
 
 import pytest
 
 from braidwalk import cli
+from braidwalk.walks import GenMeasure, monte_carlo_hitting
 
 
 def run(capsys, *argv):
@@ -75,6 +77,38 @@ def test_walk_monte_carlo_seeded(capsys):
     assert "# seed=5" in out1
     rc, out2, _ = run(capsys, *args)
     assert out1 == out2
+
+
+def test_walk_monte_carlo_is_one_run(capsys):
+    rc, out, _ = run(capsys, "walk", "--steps", "7", "--trials", "3000", "--seed", "9")
+    assert rc == 0
+    rows = [line.split(",") for line in out.splitlines() if line[:1].isdigit()]
+    est = monte_carlo_hitting(GenMeasure.uniform_generators(3), "z11", 7,
+                              trials=3000, seed=9)
+    assert [int(k) for k, _, _ in rows] == list(range(1, 8))
+    for k, frac, dec in rows:
+        hits = est["hits_by_step"][int(k)]
+        assert Fraction(frac) == Fraction(hits, 3000)
+        assert dec == "%.6f" % (hits / 3000)
+
+
+def test_walk_exact_refuses_entry_overflow(capsys):
+    start = time.monotonic()
+    rc, _, err = run(capsys, "walk", "--exact", "--strands", "5", "--steps", "40")
+    assert time.monotonic() - start < 1.0
+    assert rc == 2 and "2^62" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("walk", "--measure", "uniform4"),
+    ("burau", "--word", "1", "--strands", "3", "--at", "-1"),
+    ("lissajous", "sample", "--q", "3", "--p", "2", "--N", "3"),
+], ids=["walk-measure", "burau-at", "lissajous-sample-N"])
+def test_removed_flags_are_usage_errors(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(list(argv))
+    assert exc.value.code == 1
+    assert "unrecognized arguments" in capsys.readouterr().err
 
 
 def test_density(capsys):

@@ -1,5 +1,6 @@
 """Random walks on braid images: exact laws, hitting series, finite quotients."""
 
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -18,6 +19,7 @@ from braidwalk.walks import (
     enumerate_sp4,
     finite_walk_tv,
     hitting_probability,
+    _walk_laws,
     hitting_series,
     monte_carlo_hitting,
     predicate_all_entries_big,
@@ -28,6 +30,7 @@ from braidwalk.walks import (
     zero_density,
 )
 
+import dp_oracle
 import fp_oracle
 from fp_oracle import FpMatrix, finite_step_distribution, reduce_mod_p
 
@@ -94,9 +97,26 @@ def test_monte_carlo_matches_exact():
     assert again["hits"] == out["hits"]
 
 
+def test_monte_carlo_hits_by_step():
+    out = monte_carlo_hitting(MU3, "z11", 8, trials=3000, seed=11)
+    by_step = out["hits_by_step"]
+    assert len(by_step) == 9
+    assert by_step[8] == out["hits"]
+    assert by_step[:3] == [0, 0, 0]  # |m11| <= 2 for words of length <= 2
+    # a callable that is not a named predicate takes the per-row path
+    slow = monte_carlo_hitting(MU3, lambda m: predicate_z11(m), 8, trials=3000, seed=11)
+    assert slow["hits_by_step"] == by_step
+    # every prefix count estimates its own step's probability
+    for k in (3, 5):
+        exact = float(hitting_probability(MU3, predicate_z11, k))
+        assert abs(by_step[k] / 3000 - exact) < 5 * (exact * (1 - exact) / 3000) ** 0.5
+
+
 def test_monte_carlo_validation():
     with pytest.raises(ValueError):
         monte_carlo_hitting(MU3, "z11", 50, trials=10)
+    with pytest.raises(ValueError):
+        monte_carlo_hitting(MU3, "z11", -1, trials=10)
     with pytest.raises(ValueError):
         monte_carlo_hitting(MU3, "z11", 3, trials=0)
     with pytest.raises(ValueError):
@@ -245,6 +265,82 @@ def test_finite_walk_tv_matches_dict_oracle(mu, p, projective, steps):
     assert fast.generated == slow.generated
     if mu is NON_GENERATING:
         assert not fast.generated and fast.tv[-1] > 0
+
+
+def _skewed(strands):
+    """Weight 1/2 on sigma_1 and the rest shared by the other letters; for
+    3 strands the weights are 1/2, 1/6, 1/6, 1/6."""
+    uniform = GenMeasure.uniform_generators(strands)
+    rest = Fraction(1, 2 * (len(uniform.atoms) - 1))
+    return GenMeasure(tuple(
+        (word, Fraction(1, 2) if i == 0 else rest) for i, (word, _) in enumerate(uniform.atoms)
+    ))
+
+
+# largest k per strand count that keeps the dict oracle near a second
+ORACLE_KMAX = {3: 12, 4: 8, 5: 6}
+
+
+@given(
+    st.sampled_from([3, 4, 5]),
+    st.sampled_from([burau_minus1, symplectic_image]),
+    st.booleans(),
+    st.sampled_from(["z11", lambda m: sum(m[0]) > 1]),
+    st.data(),
+)
+@example(5, burau_minus1, True, "z11", None)
+@example(3, symplectic_image, False, predicate_all_entries_big, None)
+@settings(max_examples=12, deadline=None)
+def test_walk_dp_matches_dict_oracle(strands, rep, skewed, predicate, data):
+    mu = _skewed(strands) if skewed else GenMeasure.uniform_generators(strands)
+    kmax = ORACLE_KMAX[strands]
+    if data is not None:
+        kmax = data.draw(st.integers(min_value=0, max_value=kmax))
+    assert hitting_series(mu, predicate, kmax, rep=rep) == dp_oracle.hitting_series(
+        mu, predicate, kmax, rep=rep
+    )
+    assert step_distribution(mu, rep, kmax) == dp_oracle.step_distribution(mu, rep, kmax)
+
+
+def test_walk_dp_object_counts_beyond_int64():
+    tiny = Fraction(1, 2 ** 40)
+    letters = (1, 2, -1, -2)
+    weights = (tiny, Fraction(1, 4), Fraction(1, 4), Fraction(1, 2) - tiny)
+    mu = GenMeasure(tuple((BraidWord(3, (g,)), w) for g, w in zip(letters, weights)))
+    # denom^1 = 2^40 fits int64, denom^2 = 2^80 does not
+    assert [law[1].dtype for law in _walk_laws(mu, burau_minus1, 1)] == [np.int64] * 2
+    assert [law[1].dtype for law in _walk_laws(mu, burau_minus1, 2)] == [object] * 3
+    for predicate in ("z11", lambda m: m[1][1] < 0):
+        assert hitting_series(mu, predicate, 6) == dp_oracle.hitting_series(mu, predicate, 6)
+    assert step_distribution(mu, k=6) == dp_oracle.step_distribution(mu, k=6)
+    assert step_distribution(mu, k=6).total() == 1
+
+
+def test_walk_dp_refuses_entry_overflow_before_work():
+    mu5 = GenMeasure.uniform_generators(5)
+    start = time.monotonic()
+    # 5-strand images have row-sum norm 3 and 3^40 > 2^62
+    with pytest.raises(ValueError, match="2\\^62"):
+        hitting_series(mu5, "z11", 40)
+    with pytest.raises(ValueError, match="2\\^62"):
+        step_distribution(mu5, k=40)
+    assert time.monotonic() - start < 1.0
+    assert len(hitting_series(mu5, "z11", 1)) == 2  # 3^1 is fine
+
+
+def test_hitting_series_callable_once_per_distinct_matrix():
+    calls = []
+
+    def counted(m):
+        calls.append(m)
+        return predicate_z11(m)
+
+    kmax = 7
+    assert hitting_series(MU3, counted, kmax) == hitting_series(MU3, "z11", kmax)
+    distinct = set()
+    for k in range(kmax + 1):
+        distinct.update(dp_oracle.step_distribution(MU3, k=k).probs)
+    assert len(calls) == len(distinct) == len(set(calls))
 
 
 @given(st.integers(min_value=0, max_value=5))
