@@ -81,12 +81,25 @@ def burau_generator_minus1(n: int, i: int, inverse: bool = False) -> Matrix:
 
 
 def burau_minus1(word: BraidWord) -> Matrix:
-    """Integer Burau matrix at t = -1 (product in word order)."""
-    n = word.strands
-    out = identity(n - 1)
+    """Integer Burau matrix at t = -1 (product in word order).
+
+    At t = -1, sigma_i^s (s = +-1, r = m - i) is the transvection
+    I + s e_r (e_{r+1} - e_{r-1})^T, so multiplying by it on the right
+    changes two columns only: col[r-1] -= s col[r] and col[r+1] += s col[r].
+    The word is applied to the identity as these column operations, on
+    any strand count; burau_generator_minus1 gives the same matrices.
+    """
+    m = word.strands - 1
+    cols = [[int(i == j) for i in range(m)] for j in range(m)]
     for g in word.letters:
-        out = mat_mul(out, burau_generator_minus1(n, abs(g), inverse=g < 0))
-    return out
+        r = m - abs(g)
+        s = 1 if g > 0 else -1
+        col = cols[r]
+        if r > 0:
+            cols[r - 1] = [x - s * y for x, y in zip(cols[r - 1], col)]
+        if r + 1 < m:
+            cols[r + 1] = [x + s * y for x, y in zip(cols[r + 1], col)]
+    return tuple(zip(*cols))
 
 
 def burau_eval(word: BraidWord, value) -> Matrix:

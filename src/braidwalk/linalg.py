@@ -8,7 +8,6 @@ No floating point anywhere.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from typing import Sequence
@@ -17,16 +16,8 @@ Matrix = tuple[tuple, ...]
 Vector = tuple
 
 
-def mat(rows: Sequence[Sequence]) -> Matrix:
-    return tuple(tuple(r) for r in rows)
-
-
 def identity(d: int, one=1, zero=0) -> Matrix:
     return tuple(tuple(one if i == j else zero for j in range(d)) for i in range(d))
-
-
-def zeros(r: int, c: int, zero=0) -> Matrix:
-    return tuple(tuple(zero for _ in range(c)) for _ in range(r))
 
 
 def mat_mul(a: Matrix, b: Matrix) -> Matrix:
@@ -42,10 +33,6 @@ def mat_mul(a: Matrix, b: Matrix) -> Matrix:
 
 def mat_vec(a: Matrix, v: Vector) -> Vector:
     return tuple(sum(row[j] * v[j] for j in range(len(v))) for row in a)
-
-
-def mat_add(a: Matrix, b: Matrix) -> Matrix:
-    return tuple(tuple(x + y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
 
 
 def mat_sub(a: Matrix, b: Matrix) -> Matrix:
@@ -130,15 +117,6 @@ def mat_inverse(a: Matrix) -> Matrix:
                 f = m[r][col]
                 m[r] = [x - f * y for x, y in zip(m[r], m[col])]
     return tuple(tuple(row[d:]) for row in m)
-
-
-def int_mat_inverse_unimodular(a: Matrix) -> Matrix:
-    """Inverse of an integer matrix with det +-1, returned with int entries."""
-    inv = mat_inverse(a)
-    out = tuple(tuple(int(x) for x in row) for row in inv)
-    if any(Fraction(o) != x for ro, rx in zip(out, inv) for o, x in zip(ro, rx)):
-        raise ValueError("matrix is not unimodular")
-    return out
 
 
 def rref(rows: Sequence[Sequence]) -> tuple[list[list[Fraction]], list[int]]:
@@ -232,24 +210,6 @@ def solve_particular(a: Matrix, b: Vector) -> Vector:
             raise ValueError("inconsistent linear system")
         x[p] = rows[r][nc]
     return tuple(x)
-
-
-@dataclass(frozen=True)
-class QuadForm:
-    """Symmetric bilinear form given by a rational Gram matrix."""
-
-    gram: Matrix
-
-    def __post_init__(self):
-        g = mat(self.gram)
-        if any(len(row) != len(g) for row in g):
-            raise ValueError("Gram matrix must be square")
-        if g != mat_transpose(g):
-            raise ValueError("Gram matrix must be symmetric")
-        object.__setattr__(self, "gram", g)
-
-    def signature(self) -> int:
-        return form_signature(self.gram)
 
 
 def form_signature(gram: Matrix) -> int:

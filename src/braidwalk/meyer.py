@@ -4,9 +4,24 @@ For 3-braids the signature of the closure obeys
 
     sign(closure(a.b)) = sign(closure(a)) + sign(closure(b)) - Meyer(A, B)
 
-with A, B the Burau images at t = -1.  gg_signature peels one letter at a
-time off the word (single-generator closures are trivial links, signature
-0), so the whole invariant reduces to Meyer cocycle evaluations.
+with A, B the Burau images at t = -1.  On SL(2,Z) the Meyer cocycle is a
+coboundary, Meyer(A, B) = phi(A) + phi(B) - phi(AB) (Gambaudo-Ghys, Bull.
+SMF 133 (2005); Kirby-Melvin, Math. Ann. 299 (1994)).  For
+A = [[a, b], [c, d]]:
+
+    c != 0:  phi(A) = -Phi(A)/3 + sgn(c (a + d - 2))
+    c == 0:  phi(A) = -b d/3 + (sgn b if d == 1 else 0)
+
+where Phi is Rademacher's function, (a + d)/c - 12 sgn(c) s(d, |c|) with
+s the Dedekind sum, and b d when c = 0.  rademacher_phi computes it in
+integers by Euclid on the first column.  Every generator image has
+phi = +-2/3 and one-letter closures are trivial links, so the recursion
+telescopes to sign(closure(w)) = phi(B(w)) - 2 e(w)/3, with e the exponent
+sum.  3 phi is an integer; sums are kept in thirds and divided once.
+
+meyer_space and meyer_gram are the generic route (the signature of the
+Meyer form on Im(g1^{-1} - I) cap Im(g2 - I)), kept as the reference the
+closed form is tested against.
 
 seifert_signature_oracle is the independent check: it builds an explicit
 Seifert matrix for the closure of any braid word (disks = strands, bands =
@@ -22,19 +37,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 
-from .braid import BraidWord, closure_components
-from .burau import burau_generator_minus1, burau_minus1
+from .braid import BraidWord, closure_components, writhe
+from .burau import burau_minus1
 from .linalg import (
     Matrix,
     Vector,
     form_signature,
     identity,
-    kernel_basis,
     mat_mul,
     mat_sub,
-    mat_transpose,
     solve_particular,
     subspace_intersection,
 )
@@ -48,24 +60,10 @@ def omega(x: Vector, y: Vector):
 def _check_sl2(m: Matrix, name: str) -> None:
     if len(m) != 2 or any(len(r) != 2 for r in m):
         raise ValueError(f"{name} must be a 2x2 matrix")
+    if any(not isinstance(x, int) for r in m for x in r):
+        raise ValueError(f"{name} must have integer entries")
     if m[0][0] * m[1][1] - m[0][1] * m[1][0] != 1:
         raise ValueError(f"{name} must have determinant 1")
-
-
-@dataclass(frozen=True)
-class MeyerInput:
-    """A validated pair of SL(2,Z) matrices."""
-
-    g1: Matrix
-    g2: Matrix
-
-    def __post_init__(self):
-        g1 = tuple(tuple(r) for r in self.g1)
-        g2 = tuple(tuple(r) for r in self.g2)
-        _check_sl2(g1, "g1")
-        _check_sl2(g2, "g2")
-        object.__setattr__(self, "g1", g1)
-        object.__setattr__(self, "g2", g2)
 
 
 def _inv2(m: Matrix) -> Matrix:
@@ -84,21 +82,13 @@ def meyer_space(g1: Matrix, g2: Matrix) -> list[Vector]:
     return subspace_intersection(im1, im2)
 
 
-def meyer_gram(
-    g1: Matrix,
-    g2: Matrix,
-    shift1: Vector | None = None,
-    shift2: Vector | None = None,
-) -> tuple[list[Vector], Matrix]:
+def meyer_gram(g1: Matrix, g2: Matrix) -> tuple[list[Vector], Matrix]:
     """Basis of E and the Gram matrix of the Meyer form on it.
 
     For each basis vector e, particular solutions of
     (g1^{-1} - I) v1 = e  and  (g2 - I) v2 = -e
     are found exactly; the quadratic form is q(e) = Omega(e, v1 + v2) and
-    the Gram matrix is its polarization.  shift1/shift2, when given, are
-    added to every particular solution; they must lie in the respective
-    kernels, which leaves the form unchanged (used to test that the
-    cocycle does not depend on the choice of solutions).
+    the Gram matrix is its polarization.
     """
     basis = meyer_space(g1, g2)
     if not basis:
@@ -110,10 +100,6 @@ def meyer_gram(
     for e in basis:
         v1 = solve_particular(a1, e)
         v2 = solve_particular(a2, tuple(-x for x in e))
-        if shift1 is not None:
-            v1 = tuple(x + s for x, s in zip(v1, shift1))
-        if shift2 is not None:
-            v2 = tuple(x + s for x, s in zip(v2, shift2))
         vs.append(tuple(x + y for x, y in zip(v1, v2)))
     d = len(basis)
     gram = tuple(
@@ -126,23 +112,60 @@ def meyer_gram(
     return basis, gram
 
 
+def _sgn(x: int) -> int:
+    return (x > 0) - (x < 0)
+
+
+def rademacher_phi(m: Matrix) -> int:
+    """Rademacher's Phi of an SL(2,Z) matrix, in integers.
+
+    With q = a // c and r = a - q c, A = T^q S A'' where A'' has first
+    column (c, -r); Rademacher's rule Phi(AB) = Phi(A) + Phi(B)
+    - 3 sgn(c_A c_B c_AB) gives Phi(A) = Phi(A'') + q - 3 sgn(-r c).  The
+    floor division gives r the sign of c, so that last term is +3 whenever
+    r != 0.  Once c = 0, a = d = +-1, A'' = +-T^(b d) and Phi = b d.
+    """
+    (a, b), (c, d) = m
+    total = 0
+    while c:
+        q, r = divmod(a, c)
+        total += q + 3 * (r != 0)
+        a, b, c, d = c, d, -r, q * d - b
+    return total + b * d
+
+
+def _phi3(m: Matrix) -> int:
+    """3 phi(m), an integer."""
+    (a, b), (c, d) = m
+    if c:
+        step = _sgn(c * (a + d - 2))
+    else:
+        step = _sgn(b) if d == 1 else 0
+    return 3 * step - rademacher_phi(m)
+
+
+def _thirds(x: int) -> int:
+    q, r = divmod(x, 3)
+    if r:
+        raise RuntimeError(f"{x}/3 is not an integer; phi is miscomputed")
+    return q
+
+
 def meyer_cocycle(g1: Matrix, g2: Matrix) -> int:
-    """Meyer cocycle value in {-2,...,2}: signature of the form on E."""
-    _, gram = meyer_gram(g1, g2)
-    if not gram:
-        return 0
-    return form_signature(gram)
+    """Meyer cocycle value in {-2,...,2}: phi(g1) + phi(g2) - phi(g1 g2)."""
+    _check_sl2(g1, "g1")
+    _check_sl2(g2, "g2")
+    return _thirds(_phi3(g1) + _phi3(g2) - _phi3(mat_mul(g1, g2)))
 
 
-@lru_cache(maxsize=1 << 20)
-def _meyer_cached(flat1: tuple, flat2: tuple) -> int:
-    g1 = (flat1[:2], flat1[2:])
-    g2 = (flat2[:2], flat2[2:])
-    return meyer_cocycle(g1, g2)
+def _signature(image: Matrix, exponent_sum: int) -> int:
+    """sign(closure) of a 3-braid with this image: phi(B) - 2 e/3."""
+    return _thirds(_phi3(image) - 2 * exponent_sum)
 
 
-def _flat(m: Matrix) -> tuple:
-    return (m[0][0], m[0][1], m[1][0], m[1][1])
+def _check_three_strands(word: BraidWord) -> None:
+    if word.strands != 3:
+        raise ValueError("the Meyer recursion is implemented for 3-braids only")
 
 
 @dataclass(frozen=True)
@@ -154,41 +177,28 @@ class SignatureResult:
     components: int
 
 
-_GEN_M1 = {
-    g: burau_generator_minus1(3, abs(g), inverse=g < 0) for g in (1, -1, 2, -2)
-}
-
-
 def gg_signature(word: BraidWord) -> SignatureResult:
-    """Signature of the closure of a 3-braid via the Meyer recursion.
-
-    Letters are peeled right to left: with w = w'.g and one-letter closures
-    being trivial links, sign(w) = sign(w') - Meyer(B(w'), B(g)).
-    """
-    if word.strands != 3:
-        raise ValueError("the Meyer recursion is implemented for 3-braids only")
-    sig = 0
-    prefix = ((1, 0), (0, 1))
-    for g in word.letters:
-        gen = _GEN_M1[g]
-        sig -= _meyer_cached(_flat(prefix), _flat(gen))
-        prefix = mat_mul(prefix, gen)
-    return SignatureResult(sig, len(word), closure_components(word))
+    """Signature of the closure of a 3-braid: phi(B(w)) - 2 e(w)/3."""
+    _check_three_strands(word)
+    value = _signature(burau_minus1(word), writhe(word))
+    return SignatureResult(value, len(word), closure_components(word))
 
 
 def power_signatures(word: BraidWord, nmax: int) -> list[int]:
-    """[sign(closure(word^n)) for n = 1..nmax], via the pairwise identity.
+    """[sign(closure(word^n)) for n = 1..nmax]: phi(B^n) - 2 n e/3.
 
-    sign(w^{n+1}) = sign(w^n) + sign(w) - Meyer(B(w)^n, B(w)); agrees with
-    running gg_signature on the expanded power word.
+    Agrees with gg_signature on the expanded power word.
     """
-    base = gg_signature(word).value
+    _check_three_strands(word)
+    if nmax < 1:
+        raise ValueError(f"nmax must be >= 1, got {nmax}")
     m = burau_minus1(word)
-    out = [base]
-    power = m
-    for _ in range(1, nmax):
-        out.append(out[-1] + base - _meyer_cached(_flat(power), _flat(m)))
+    e = writhe(word)
+    out = []
+    power = identity(2)
+    for n in range(1, nmax + 1):
         power = mat_mul(power, m)
+        out.append(_signature(power, n * e))
     return out
 
 

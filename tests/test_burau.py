@@ -11,6 +11,7 @@ from braidwalk.burau import (
     alexander_poly,
     burau_eval,
     burau_generator,
+    burau_generator_minus1,
     burau_matrix,
     burau_minus1,
     intersection_form,
@@ -126,6 +127,16 @@ def test_quotient_is_multiplicative(a, b):
 def test_symplectic_image_dispatch():
     assert symplectic_image(BraidWord(3, (1,))) == ((1, 0), (-1, 1))
     assert symplectic_image(BraidWord(4, (1,))) == ((1, 1), (0, 1))
+
+
+@settings(max_examples=200)
+@given(st.integers(min_value=2, max_value=9).flatmap(lambda n: words(n, 16)))
+def test_minus1_column_operations_match_generator_product(w):
+    n = w.strands
+    expected = identity(n - 1)
+    for g in w.letters:
+        expected = mat_mul(expected, burau_generator_minus1(n, abs(g), inverse=g < 0))
+    assert burau_minus1(w) == expected
 
 
 def test_burau_eval_matches_specialization():

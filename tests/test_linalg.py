@@ -6,13 +6,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from braidwalk.linalg import (
-    QuadForm,
     det_fraction,
     det_ring,
     form_signature,
     identity,
     image_basis,
-    int_mat_inverse_unimodular,
     kernel_basis,
     mat_inverse,
     mat_mul,
@@ -66,13 +64,6 @@ def test_inverse_roundtrip(m):
     assert mat_mul(m, inv) == identity(3, one=Fraction(1), zero=Fraction(0))
 
 
-def test_unimodular_inverse_stays_integral():
-    m = ((2, 1), (1, 1))
-    inv = int_mat_inverse_unimodular(m)
-    assert inv == ((1, -1), (-1, 2))
-    assert all(isinstance(x, int) for row in inv for x in row)
-
-
 @given(int_matrices(3, lo=-4, hi=4))
 def test_kernel_and_image(m):
     for v in kernel_basis(m):
@@ -123,14 +114,6 @@ def test_form_signature_anchors():
     assert form_signature(((0, 0), (0, 0))) == 0
     assert form_signature(((2, 1), (1, 2))) == 2
     assert form_signature(((1, 2), (2, 1))) == 0  # eigenvalues 3, -1
-
-
-def test_quadform_validation():
-    with pytest.raises(ValueError):
-        QuadForm(((1, 2), (3, 1)))  # not symmetric
-    with pytest.raises(ValueError):
-        QuadForm(((1, 2, 0), (2, 1, 0)))  # not square
-    assert QuadForm(((1, 0), (0, -1))).signature() == 0
 
 
 def _random_unimodular(rng_ints, d):

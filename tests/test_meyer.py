@@ -1,15 +1,16 @@
 """Meyer cocycle, the signature recursion, and the Seifert-matrix oracle."""
 
 import random
+from fractions import Fraction
+from math import gcd
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from braidwalk.braid import BraidWord, closure_components
 from braidwalk.burau import burau_minus1
-from braidwalk.linalg import mat_mul, mat_pow
+from braidwalk.linalg import form_signature, mat_mul, mat_pow
 from braidwalk.meyer import (
-    MeyerInput,
     check_big_entries,
     gg_signature,
     is_hyperbolic,
@@ -18,6 +19,7 @@ from braidwalk.meyer import (
     meyer_space,
     power_signatures,
     quasipositive_invariants,
+    rademacher_phi,
     seifert_matrix,
     seifert_signature_oracle,
 )
@@ -47,20 +49,20 @@ def words3(max_size=10):
     )
 
 
-def test_meyer_input_validation():
-    MeyerInput(S1, S2)
-    with pytest.raises(ValueError):
-        MeyerInput(((1, 0), (0, 2)), S2)
-    with pytest.raises(ValueError):
-        MeyerInput(((1, 0, 0), (0, 1, 0)), S2)
-
-
 def test_meyer_anchors():
     assert meyer_cocycle(S1, S1) == 1
     assert meyer_cocycle(S1, S2) == 0
     assert meyer_cocycle(S2, S2) == 1
     prod = mat_mul(S1, S2)
     assert meyer_cocycle(prod, prod) == 2
+    with pytest.raises(ValueError):
+        meyer_cocycle(((1, 0), (0, 2)), S2)  # det 2
+    with pytest.raises(ValueError):
+        meyer_cocycle(((1, 0, 0), (0, 1, 0)), S2)  # 2x3
+    with pytest.raises(ValueError):
+        meyer_cocycle(S1, ((1, 0), (0, 1), (0, 0)))  # 3x2
+    with pytest.raises(ValueError):
+        meyer_cocycle(((Fraction(1, 2), 0), (0, 2)), S2)  # not integral
 
 
 def test_meyer_space_and_gram():
@@ -168,6 +170,89 @@ def test_power_signatures_match_expansion():
     sigs = power_signatures(w, 6)
     for n in range(1, 7):
         assert sigs[n - 1] == gg_signature(w ** n).value
+
+
+@settings(max_examples=60, deadline=None)
+@given(words3(8), st.integers(min_value=1, max_value=12))
+def test_power_signatures_match_expanded_words(w, nmax):
+    assert power_signatures(w, nmax) == [
+        gg_signature(w ** n).value for n in range(1, nmax + 1)
+    ]
+
+
+def test_power_signatures_rejects_nmax_below_one():
+    w = BraidWord(3, (1, 2))
+    for nmax in (0, -3):
+        with pytest.raises(ValueError):
+            power_signatures(w, nmax)
+    with pytest.raises(ValueError):
+        power_signatures(BraidWord(4, (1, 2, 3)), 2)
+
+
+# The closed form against its definitions -----------------------------------
+
+I2 = ((1, 0), (0, 1))
+S = ((0, -1), (1, 0))
+ST = mat_mul(S, S2)
+
+
+def _neg(m):
+    return tuple(tuple(-x for x in row) for row in m)
+
+
+def signed_sl2(max_size=12):
+    """+- products of the generator images, +-I, +-T^n, S, ST and (ST)^2."""
+    special = st.sampled_from([I2, _neg(I2), S, ST, mat_mul(ST, ST)])
+    shears = st.integers(min_value=-6, max_value=6).map(lambda n: ((1, n), (0, 1)))
+    base = st.one_of(sl2_matrices(max_size), shears, special)
+    return st.tuples(base, st.booleans()).map(lambda mb: _neg(mb[0]) if mb[1] else mb[0])
+
+
+def generic_meyer(a, b):
+    """Signature of the Meyer form on E, 0 when E = 0."""
+    _, gram = meyer_gram(a, b)
+    return form_signature(gram) if gram else 0
+
+
+@settings(max_examples=400, deadline=None)
+@given(signed_sl2(), signed_sl2())
+def test_closed_form_matches_generic_meyer(a, b):
+    assert meyer_cocycle(a, b) == generic_meyer(a, b)
+
+
+def _sawtooth(x):
+    if x.denominator == 1:
+        return Fraction(0)
+    return x - x.numerator // x.denominator - Fraction(1, 2)
+
+
+def dedekind_sum(h, k):
+    """s(h, k) straight from the sawtooth definition."""
+    return sum(_sawtooth(Fraction(i, k)) * _sawtooth(Fraction(h * i, k))
+               for i in range(1, k))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(min_value=-60, max_value=60).filter(bool),
+       st.integers(min_value=-300, max_value=300),
+       st.integers(min_value=-4, max_value=4),
+       st.booleans())
+def test_rademacher_phi_matches_dedekind_sum(c, d, shift, negate):
+    assume(gcd(c, d) == 1)
+    a = pow(d, -1, abs(c)) + shift * c  # a d = 1 mod c
+    b = (a * d - 1) // c
+    m = ((a, b), (c, d))
+    if negate:
+        m = _neg(m)
+    a, b, c, d = m[0] + m[1]
+    sign = 1 if c > 0 else -1
+    assert rademacher_phi(m) == Fraction(a + d, c) - 12 * sign * dedekind_sum(d, abs(c))
+
+
+def test_rademacher_phi_upper_triangular():
+    for n in range(-5, 6):
+        assert rademacher_phi(((1, n), (0, 1))) == n
+        assert rademacher_phi(((-1, -n), (0, -1))) == n
 
 
 def test_quasipositive_invariants():
