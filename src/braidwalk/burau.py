@@ -22,7 +22,7 @@ from fractions import Fraction
 
 from .braid import BraidWord
 from .laurent import ONE, LaurentPoly, T
-from .linalg import Matrix, det_fraction, identity, mat_mul, mat_transpose
+from .linalg import Matrix, det_ring, mat_mul, mat_transpose
 
 _T_INV = LaurentPoly.t_power(-1)
 
@@ -50,12 +50,27 @@ def burau_generator(n: int, i: int, inverse: bool = False) -> Matrix:
 
 
 def burau_matrix(word: BraidWord) -> Matrix:
-    """Burau matrix of a braid word over Z[t, 1/t]."""
-    n = word.strands
-    out = identity(n - 1, one=ONE, zero=LaurentPoly.const(0))
+    """Burau matrix of a braid word over Z[t, 1/t] (product in word order).
+
+    Each letter acts on the columns, as in burau_minus1: sigma_i (r = m - i)
+    sets col[r-1] -= col[r], col[r+1] -= t col[r], col[r] = -t col[r];
+    sigma_i^-1 sets col[r-1] -= t^-1 col[r], col[r+1] -= col[r],
+    col[r] = -t^-1 col[r].
+    """
+    m = word.strands - 1
+    zero = LaurentPoly.const(0)
+    cols = [[ONE if i == j else zero for i in range(m)] for j in range(m)]
     for g in word.letters:
-        out = mat_mul(out, burau_generator(n, abs(g), inverse=g < 0))
-    return out
+        r = m - abs(g)
+        # powers of t that multiply col[r] in col[r-1], col[r+1] and col[r]
+        left, right, own = (0, 1, 1) if g > 0 else (-1, 0, -1)
+        col = cols[r]
+        if r > 0:
+            cols[r - 1] = [x - y.shift(left) if y else x for x, y in zip(cols[r - 1], col)]
+        if r + 1 < m:
+            cols[r + 1] = [x - y.shift(right) if y else x for x, y in zip(cols[r + 1], col)]
+        cols[r] = [-y.shift(own) for y in col]
+    return tuple(zip(*cols))
 
 
 def burau_generator_minus1(n: int, i: int, inverse: bool = False) -> Matrix:
@@ -198,8 +213,6 @@ def alexander_poly(word: BraidWord) -> LaurentPoly:
 
 def mat_sub_identity_det(b: Matrix) -> LaurentPoly:
     """det(b - I) for a LaurentPoly matrix."""
-    from .linalg import det_ring
-
     d = len(b)
     shifted = tuple(
         tuple(b[i][j] - (ONE if i == j else 0) for j in range(d)) for i in range(d)
@@ -223,5 +236,4 @@ def alexander_at_minus1(word: BraidWord) -> int:
     shifted = tuple(
         tuple(m[i][j] - (1 if i == j else 0) for j in range(d)) for i in range(d)
     )
-    det = det_fraction(shifted)
-    return int(det)
+    return det_ring(shifted)

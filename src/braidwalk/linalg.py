@@ -1,15 +1,18 @@
-"""Exact linear algebra over Q (and generic commutative rings).
+"""Exact linear algebra on tuple-of-tuples matrices.
 
-Matrices are tuples of row tuples.  Entries are python ints, Fractions,
-or any ring element supporting +, -, * (LaurentPoly included); functions
-that need division are restricted to int/Fraction entries and say so.
-No floating point anywhere.
+Matrices are tuples of row tuples.  mat_mul and its relatives take any ring
+entries (python ints, Fractions, LaurentPoly).  The two kernels of the
+n-strand invariants stay in integers: det_ring is fraction-free Bareiss
+elimination over Z or Z[t, 1/t], and form_signature is integer symmetric
+elimination with gcd reduction.  mat_inverse and the subspace functions
+(rref, kernel_basis, ...) work over Q with Fractions.  No floating point
+anywhere.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import combinations
+from math import gcd
 from typing import Sequence
 
 Matrix = tuple[tuple, ...]
@@ -56,49 +59,50 @@ def mat_pow(a: Matrix, n: int) -> Matrix:
     return result
 
 
+def _divide_exact(x, y):
+    """x / y for a y known to divide x: ints by divmod, LaurentPolys by
+    divide_exact; a nonzero remainder raises ArithmeticError."""
+    if isinstance(x, int):
+        q, r = divmod(x, y)
+        if r:
+            raise ArithmeticError("inexact division in det_ring")
+        return q
+    return x.divide_exact(y)
+
+
 def det_ring(a: Matrix):
-    """Determinant over any commutative ring by Laplace expansion with
-    column-subset memoisation (no division; fine up to ~8x8)."""
+    """Determinant of a square matrix over Z or Z[t, 1/t] by fraction-free
+    Bareiss elimination (Bareiss, Math. Comp. 22 (1968)).
+
+    Step k replaces every entry below and right of the pivot by
+    (p m[i][j] - m[i][k] m[k][j]) / p_prev, an exact division, so entries
+    stay minors of the input; a row swap flips the sign.  Entries are
+    python ints or LaurentPolys.  A zero pivot column gives the zero of the
+    entry type.
+    """
     d = len(a)
     if d == 0:
         return 1
-    # minors[(cols)] = det of rows 0..len(cols)-1 restricted to cols
-    minors = {(): 1}
-    for r in range(d):
-        new: dict[tuple[int, ...], object] = {}
-        for cols in combinations(range(d), r + 1):
-            total = None
-            for k, c in enumerate(cols):
-                sub = minors[cols[:k] + cols[k + 1 :]]
-                term = a[r][c] * sub
-                if (r + k) % 2 == 1:
-                    term = -term
-                total = term if total is None else total + term
-            new[cols] = total
-        minors = new
-    return minors[tuple(range(d))]
-
-
-def det_fraction(a: Matrix) -> Fraction:
-    """Determinant over Q by Gaussian elimination."""
-    d = len(a)
-    m = [[Fraction(x) for x in row] for row in a]
-    det = Fraction(1)
-    for col in range(d):
-        pivot = next((r for r in range(col, d) if m[r][col] != 0), None)
+    m = [list(row) for row in a]
+    sign = 1
+    prev = None
+    for k in range(d - 1):
+        pivot = next((r for r in range(k, d) if m[r][k]), None)
         if pivot is None:
-            return Fraction(0)
-        if pivot != col:
-            m[col], m[pivot] = m[pivot], m[col]
-            det = -det
-        det *= m[col][col]
-        inv = 1 / m[col][col]
-        for r in range(col + 1, d):
-            if m[r][col] != 0:
-                f = m[r][col] * inv
-                for c in range(col, d):
-                    m[r][c] -= f * m[col][c]
-    return det
+            return m[k][k] * 0
+        if pivot != k:
+            m[k], m[pivot] = m[pivot], m[k]
+            sign = -sign
+        rowk = m[k]
+        p = rowk[k]
+        for row in m[k + 1 :]:
+            f = row[k]
+            for j in range(k + 1, d):
+                x = p * row[j] - f * rowk[j]
+                row[j] = x if prev is None else _divide_exact(x, prev)
+        prev = p
+    det = m[d - 1][d - 1]
+    return det if sign > 0 else -det
 
 
 def mat_inverse(a: Matrix) -> Matrix:
@@ -213,50 +217,50 @@ def solve_particular(a: Matrix, b: Vector) -> Vector:
 
 
 def form_signature(gram: Matrix) -> int:
-    """Signature (#positive - #negative eigenvalues) of a symmetric
-    rational matrix, exactly, by symmetric elimination.
+    """Signature (#positive - #negative eigenvalues) of a symmetric integer
+    matrix (python ints), exactly, by integer symmetric elimination.
 
-    Diagonal pivots contribute their sign; when the remaining diagonal is
-    zero but an off-diagonal entry is not, that hyperbolic pair contributes
-    0 and both rows are split off.
+    A nonzero diagonal pivot p adds sgn(p) and turns the rest of the block
+    into p S[i][j] - S[i][k] S[k][j], which is p times the Schur complement;
+    since sig(p X) = sgn(p) sig(X), the block is then divided by g sgn(p),
+    g the gcd of its entries, which keeps the entries small.  When the whole
+    diagonal is zero but S[i][j] != 0, the congruence e_i <- e_i + e_j makes
+    the pivot S[i][i] = 2 S[i][j].  Raises ValueError on a non-square,
+    non-symmetric or non-integer matrix.
     """
     d = len(gram)
-    m = [[Fraction(x) for x in row] for row in gram]
-    active = list(range(d))
+    if any(len(row) != d for row in gram):
+        raise ValueError("form_signature needs a square matrix")
+    m = [list(row) for row in gram]
+    if not all(isinstance(x, int) for row in m for x in row):
+        raise ValueError("form_signature needs integer entries")
+    if list(map(list, zip(*m))) != m:
+        raise ValueError("form_signature needs a symmetric matrix")
     sig = 0
-    while active:
-        k = next((i for i in active if m[i][i] != 0), None)
-        if k is not None:
-            piv = m[k][k]
-            sig += 1 if piv > 0 else -1
-            active.remove(k)
-            for i in active:
-                if m[i][k] != 0:
-                    f = m[i][k] / piv
-                    for j in active:
-                        m[i][j] -= f * m[k][j]
-            for i in active:
-                m[i][k] = Fraction(0)
-                m[k][i] = Fraction(0)
-            continue
-        pair = None
-        for i in active:
-            for j in active:
-                if j > i and m[i][j] != 0:
-                    pair = (i, j)
-                    break
-            if pair:
-                break
-        if pair is None:
+    while m:
+        k = next((i for i, row in enumerate(m) if row[i]), None)
+        if k is None:
+            pair = next(((i, j) for i, row in enumerate(m) for j, x in enumerate(row) if x), None)
+            if pair is None:
+                break  # remaining block is zero
+            k, j = pair
+            m[k] = [x + y for x, y in zip(m[k], m[j])]
+            for row in m:
+                row[k] += row[j]
+        rowk = m.pop(k)
+        p = rowk.pop(k)
+        sig += 1 if p > 0 else -1
+        for row in m:
+            f = row.pop(k)
+            if f:
+                row[:] = [p * x - f * y for x, y in zip(row, rowk)]
+            elif p != 1:
+                row[:] = [p * x for x in row]
+        g = gcd(*[gcd(*row) for row in m])
+        if not g:
             break  # remaining block is zero
-        i, j = pair
-        c = m[i][j]
-        active.remove(i)
-        active.remove(j)
-        # split off the hyperbolic plane spanned by e_i, e_j: signature 0
-        for k1 in active:
-            for k2 in active:
-                m[k1][k2] -= (m[k1][i] * m[j][k2] + m[k1][j] * m[i][k2]) / c
-        for k1 in active:
-            m[k1][i] = m[k1][j] = m[i][k1] = m[j][k1] = Fraction(0)
+        if p < 0:
+            g = -g
+        if g != 1:
+            m = [[x // g for x in row] for row in m]
     return sig

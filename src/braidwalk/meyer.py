@@ -21,7 +21,8 @@ sum.  3 phi is an integer; sums are kept in thirds and divided once.
 
 meyer_space and meyer_gram are the generic route (the signature of the
 Meyer form on Im(g1^{-1} - I) cap Im(g2 - I)), kept as the reference the
-closed form is tested against.
+closed form is tested against; the Gram matrix is rational, so the tests
+sign it with the Fraction elimination of their linear-algebra oracle.
 
 seifert_signature_oracle is the independent check: it builds an explicit
 Seifert matrix for the closure of any braid word (disks = strands, bands =

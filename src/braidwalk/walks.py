@@ -530,6 +530,10 @@ ENTRY_POLYNOMIALS = {
     "det-1": EntryPolynomial("det-1", lambda m, p: det_ring(m) - 1),
 }
 
+# the named single-entry polynomials (matched by identity), which
+# zero_density counts on the whole element array at once
+_ENTRY_INDEX = {"m11": (0, 0), "m12": (0, 1), "m21": (1, 0), "m22": (1, 1)}
+
 # transvection x -> x + <e1 + e3, x> (e1 + e3) for the tridiagonal form J on
 # Z^4; the 5-strand braid images alone generate a proper subgroup of
 # Sp(4, F_p) for some p (120 of the 720 elements of Sp(4, 2))
@@ -541,7 +545,8 @@ def zero_density(poly, l: int, p: int) -> Fraction:
 
     Exhaustive over the group, enumerated from the (2l+1)-strand generator
     images (plus a transvection for l >= 2); refused when |Sp(2l, p)|
-    exceeds MAX_GROUP_ORDER.
+    exceeds MAX_GROUP_ORDER.  The named single-entry polynomials are
+    counted on the element array, any other polynomial per element.
     """
     if isinstance(poly, str):
         try:
@@ -559,9 +564,11 @@ def zero_density(poly, l: int, p: int) -> Fraction:
             "generators reach %d of the %d elements of Sp(%d, %d)"
             % (len(elements), order, 2 * l, p)
         )
-    zeros = sum(
-        1 for m in elements if poly(tuple(map(tuple, m.tolist())), p) == 0
-    )
+    entry = next((_ENTRY_INDEX.get(n) for n, q in ENTRY_POLYNOMIALS.items() if q is poly), None)
+    if entry is not None:
+        zeros = int((elements[:, entry[0], entry[1]] % p == 0).sum())
+    else:
+        zeros = sum(1 for m in elements if poly(tuple(map(tuple, m.tolist())), p) == 0)
     return Fraction(zeros, order)
 
 

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from braidwalk.burau import symplectic_image
-from braidwalk.linalg import Matrix, det_fraction, identity
+from braidwalk.linalg import Matrix, identity
 from braidwalk.walks import (
     FiniteWalkResult,
     GenMeasure,
@@ -20,6 +20,7 @@ from braidwalk.walks import (
     sp_order,
 )
 from dp_oracle import _atom_images, _unflatten, step_distribution
+from linalg_oracle import det_fraction
 
 
 @dataclass(frozen=True)

@@ -1,11 +1,14 @@
 """Burau matrices, the symplectic structure at t = -1, Alexander polynomials."""
 
+import random
+import time
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from braidwalk.braid import BraidWord, inverse
+import braidwalk.burau as burau_module
+from braidwalk.braid import BraidWord, closure_components, inverse
 from braidwalk.burau import (
     alexander_at_minus1,
     alexander_poly,
@@ -22,6 +25,7 @@ from braidwalk.burau import (
 )
 from braidwalk.laurent import ONE, LaurentPoly
 from braidwalk.linalg import identity, mat_mul, mat_transpose, mat_vec
+from linalg_oracle import det_laplace
 
 
 def words(strands, max_size=10):
@@ -139,6 +143,21 @@ def test_minus1_column_operations_match_generator_product(w):
     assert burau_minus1(w) == expected
 
 
+def _generator_product(w):
+    """Burau matrix as the mat_mul product of the generator images."""
+    n = w.strands
+    out = identity(n - 1, one=ONE, zero=LaurentPoly({}))
+    for g in w.letters:
+        out = mat_mul(out, burau_generator(n, abs(g), inverse=g < 0))
+    return out
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(min_value=2, max_value=9).flatmap(lambda n: words(n, 14)))
+def test_column_operations_match_generator_product(w):
+    assert burau_matrix(w) == _generator_product(w)
+
+
 def test_burau_eval_matches_specialization():
     w = BraidWord(3, (1, 2, -1))
     m = burau_eval(w, Fraction(-1))
@@ -192,3 +211,30 @@ def test_generic_route_matches_minus1_route(n, data):
     p = alexander_poly(w)
     direct = alexander_at_minus1(w)
     assert abs(p.evaluate(Fraction(-1))) == abs(direct)
+
+
+def _word_16(rng, length, knot):
+    """Seeded word on 16 strands whose closure is a knot (or not)."""
+    while True:
+        letters = tuple(rng.randrange(1, 16) * rng.choice((1, -1)) for _ in range(length))
+        w = BraidWord(16, letters)
+        if (closure_components(w) == 1) == knot:
+            return w
+
+
+def test_alexander_reach_16_strands(monkeypatch):
+    # a 16-cycle is odd, so a knot needs an odd number of letters
+    rng = random.Random(7)
+    knot, link = _word_16(rng, 41, True), _word_16(rng, 40, False)
+    fast = {}
+    for w in (knot, link):
+        start = time.perf_counter()
+        fast[w] = alexander_poly(w)
+        assert time.perf_counter() - start < 1.0
+    assert abs(fast[knot].evaluate(1)) == 1
+    assert fast[link].evaluate(1) == 0
+    # the same polynomials from the generator product and Laplace expansion
+    monkeypatch.setattr(burau_module, "burau_matrix", _generator_product)
+    monkeypatch.setattr(burau_module, "det_ring", det_laplace)
+    for w in (knot, link):
+        assert alexander_poly(w) == fast[w]

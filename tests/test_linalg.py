@@ -6,7 +6,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from braidwalk.linalg import (
-    det_fraction,
     det_ring,
     form_signature,
     identity,
@@ -22,6 +21,8 @@ from braidwalk.linalg import (
     span_contains,
     subspace_intersection,
 )
+from braidwalk.laurent import LaurentPoly
+from linalg_oracle import det_fraction, det_laplace, form_signature_fraction
 
 
 def int_matrices(d, lo=-6, hi=6):
@@ -141,3 +142,102 @@ def test_signature_congruence_invariant(m, shears):
     a = _random_unimodular(shears or [1], 3)
     conj = mat_mul(mat_transpose(a), mat_mul(sym, a))
     assert form_signature(conj) == form_signature(sym)
+
+
+# ---------------------------------------------------------------------------
+# integer kernels against the slow oracles in linalg_oracle
+
+
+@st.composite
+def symmetric_int_matrices(draw, max_dim=9, lo=-5, hi=5):
+    """Symmetric integer matrices: full, low rank (B^T D B) or with the
+    diagonal zeroed."""
+    d = draw(st.integers(min_value=0, max_value=max_dim))
+    kind = draw(st.sampled_from(["full", "low-rank", "zero-diagonal"]))
+    if kind == "low-rank":
+        r = draw(st.integers(min_value=0, max_value=max(d - 1, 0)))
+        b = draw(st.lists(st.lists(st.integers(-3, 3), min_size=d, max_size=d),
+                          min_size=r, max_size=r))
+        diag = draw(st.lists(st.sampled_from([-2, -1, 1, 2, 3]), min_size=r, max_size=r))
+        return tuple(
+            tuple(sum(b[k][i] * diag[k] * b[k][j] for k in range(r)) for j in range(d))
+            for i in range(d)
+        )
+    upper = draw(st.lists(st.integers(lo, hi), min_size=d * d, max_size=d * d))
+    m = [[upper[min(i, j) * d + max(i, j)] for j in range(d)] for i in range(d)]
+    if kind == "zero-diagonal":
+        for i in range(d):
+            m[i][i] = 0
+    return tuple(tuple(row) for row in m)
+
+
+@settings(max_examples=400, deadline=None)
+@given(symmetric_int_matrices())
+def test_form_signature_matches_fraction_oracle(m):
+    assert form_signature(m) == form_signature_fraction(m)
+
+
+def test_form_signature_pivot_cases():
+    # negative pivots, then a block left with a zero diagonal
+    assert form_signature(((-1, 1, 0), (1, 0, 1), (0, 1, 0))) == -1
+    assert form_signature(((-2, 1, 1), (1, 0, 3), (1, 3, 0))) == -1
+    assert form_signature(((0, 1, 0, 0), (1, 0, 0, 0), (0, 0, 0, 2), (0, 0, 2, 0))) == 0
+    assert form_signature(((0, 1, 1), (1, 0, 1), (1, 1, 0))) == -1  # eigenvalues 2, -1, -1
+    assert form_signature(()) == 0
+
+
+def test_form_signature_validation():
+    with pytest.raises(ValueError, match="square"):
+        form_signature(((1, 0, 0), (0, 1, 0)))
+    with pytest.raises(ValueError, match="symmetric"):
+        form_signature(((1, 2), (3, 1)))
+    with pytest.raises(ValueError, match="integer"):
+        form_signature(((Fraction(1, 2), 0), (0, 1)))
+    with pytest.raises(ValueError, match="integer"):
+        form_signature(((Fraction(2), 0), (0, 1)))
+    with pytest.raises(ValueError, match="integer"):
+        form_signature(((1.0, 0), (0, 1)))
+
+
+def _singular(m, data):
+    """m with its last row replaced by a combination of the others."""
+    d = len(m)
+    if d < 2 or not data.draw(st.booleans()):
+        return m
+    coeffs = data.draw(st.lists(st.integers(-2, 2), min_size=d - 1, max_size=d - 1))
+    last = tuple(sum(c * m[i][j] for i, c in enumerate(coeffs)) for j in range(d))
+    return m[:-1] + (last,)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(min_value=0, max_value=6), st.data())
+def test_det_ring_bareiss_matches_laplace_int(d, data):
+    m = data.draw(int_matrices(d, lo=-4, hi=4)) if d else ()
+    m = _singular(m, data)
+    assert det_ring(m) == det_laplace(m)
+
+
+laurent_polys = st.dictionaries(
+    st.integers(min_value=-2, max_value=2), st.integers(min_value=-3, max_value=3), max_size=3
+).map(LaurentPoly)
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.integers(min_value=1, max_value=6), st.data())
+def test_det_ring_bareiss_matches_laplace_laurent(d, data):
+    row = st.tuples(*[laurent_polys] * d)
+    m = data.draw(st.tuples(*[row] * d))
+    m = _singular(m, data)
+    det = det_ring(m)
+    assert isinstance(det, LaurentPoly)
+    assert det == det_laplace(m)
+
+
+def test_det_ring_anchors():
+    assert det_ring(()) == 1
+    assert det_ring(((0, 1), (1, 0))) == -1  # one row swap
+    assert det_ring(((0, 2, 1), (0, 3, 4), (0, 5, 6))) == 0
+    t = LaurentPoly.t_power(1)
+    zero = LaurentPoly({})
+    det = det_ring(((zero, t), (zero, t)))
+    assert isinstance(det, LaurentPoly) and det.is_zero()

@@ -9,7 +9,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from braidwalk.braid import BraidWord, closure_components
 from braidwalk.burau import burau_minus1
-from braidwalk.linalg import form_signature, mat_mul, mat_pow
+from braidwalk.linalg import mat_mul, mat_pow
 from braidwalk.meyer import (
     check_big_entries,
     gg_signature,
@@ -23,6 +23,7 @@ from braidwalk.meyer import (
     seifert_matrix,
     seifert_signature_oracle,
 )
+from linalg_oracle import form_signature_fraction
 
 S1 = ((1, 0), (-1, 1))
 S2 = ((1, 1), (0, 1))
@@ -211,7 +212,7 @@ def signed_sl2(max_size=12):
 def generic_meyer(a, b):
     """Signature of the Meyer form on E, 0 when E = 0."""
     _, gram = meyer_gram(a, b)
-    return form_signature(gram) if gram else 0
+    return form_signature_fraction(gram) if gram else 0
 
 
 @settings(max_examples=400, deadline=None)

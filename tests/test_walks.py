@@ -12,6 +12,7 @@ from braidwalk.burau import burau_minus1, symplectic_image
 from braidwalk.linalg import identity
 from braidwalk.walks import (
     ENTRY_POLYNOMIALS,
+    EntryPolynomial,
     GenMeasure,
     MAX_GROUP_ORDER,
     count_group_bruteforce,
@@ -177,6 +178,14 @@ def test_zero_density_matches_bruteforce_count(l, p):
     for name, poly in ENTRY_POLYNOMIALS.items():
         zeros = sum(1 for m in group if poly(m, p) == 0)
         assert zero_density(name, l, p) == Fraction(zeros, len(group)), name
+
+
+@pytest.mark.parametrize("l,p", [(1, 5), (1, 13), (2, 3)])
+def test_zero_density_entry_array_matches_per_element(l, p):
+    # a caller-supplied polynomial takes the per-element path
+    for name in ("m11", "m12", "m21", "m22"):
+        slow = EntryPolynomial(name, ENTRY_POLYNOMIALS[name].fn)
+        assert zero_density(slow, l, p) == zero_density(name, l, p), name
 
 
 def test_group_order_budget():
