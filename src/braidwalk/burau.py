@@ -18,11 +18,9 @@ representation one dimension down.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from .braid import BraidWord
 from .laurent import ONE, LaurentPoly, T
-from .linalg import Matrix, det_ring, mat_mul, mat_transpose
+from .linalg import Matrix, det_ring, identity, mat_mul, mat_sub, mat_transpose
 
 _T_INV = LaurentPoly.t_power(-1)
 
@@ -117,15 +115,6 @@ def burau_minus1(word: BraidWord) -> Matrix:
     return tuple(zip(*cols))
 
 
-def burau_eval(word: BraidWord, value) -> Matrix:
-    """Burau matrix with t specialised to a nonzero rational value."""
-    value = Fraction(value)
-    if value == 0:
-        raise ValueError("t = 0 is not in the domain of the representation")
-    poly = burau_matrix(word)
-    return tuple(tuple(p.evaluate(value) for p in row) for row in poly)
-
-
 def intersection_form(m: int) -> Matrix:
     """Antisymmetric tridiagonal form J on Z^m preserved at t = -1."""
     rows = [[0] * m for _ in range(m)]
@@ -213,11 +202,7 @@ def alexander_poly(word: BraidWord) -> LaurentPoly:
 
 def mat_sub_identity_det(b: Matrix) -> LaurentPoly:
     """det(b - I) for a LaurentPoly matrix."""
-    d = len(b)
-    shifted = tuple(
-        tuple(b[i][j] - (ONE if i == j else 0) for j in range(d)) for i in range(d)
-    )
-    out = det_ring(shifted)
+    out = det_ring(mat_sub(b, identity(len(b))))
     return out if isinstance(out, LaurentPoly) else LaurentPoly.const(out)
 
 
@@ -232,8 +217,4 @@ def alexander_at_minus1(word: BraidWord) -> int:
     if n % 2 == 0:
         raise ValueError("determinant at t = -1 degenerates for even strand count")
     m = burau_minus1(word)
-    d = len(m)
-    shifted = tuple(
-        tuple(m[i][j] - (1 if i == j else 0) for j in range(d)) for i in range(d)
-    )
-    return det_ring(shifted)
+    return det_ring(mat_sub(m, identity(len(m))))

@@ -11,7 +11,6 @@ import argparse
 import json
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
 
 from . import __version__
@@ -34,10 +33,6 @@ from .walks import (
     monte_carlo_hitting,
     zero_density,
 )
-
-
-class UsageError(Exception):
-    """Invalid input caught outside argparse; exits 1 like argparse errors."""
 
 
 class _Parser(argparse.ArgumentParser):
@@ -113,10 +108,7 @@ def _parse_sl2(text):
     parts = [int(x) for x in text.split()]
     if len(parts) != 4:
         raise ValueError("expected four integers 'a b c d'")
-    m = ((parts[0], parts[1]), (parts[2], parts[3]))
-    if parts[0] * parts[3] - parts[1] * parts[2] != 1:
-        raise ValueError("matrix must have determinant 1")
-    return m
+    return ((parts[0], parts[1]), (parts[2], parts[3]))
 
 
 def _cmd_meyer(args):
@@ -178,10 +170,6 @@ def _cmd_finite_walk(args):
     return 0
 
 
-def _table_rows(mode, qs):
-    return percentage_table(qs=qs, mode=mode)
-
-
 def _lissajous_table_lines(rows, mode, fmt):
     if fmt == "markdown":
         qs = " | ".join(str(r["q"]) for r in rows)
@@ -213,57 +201,45 @@ def _lissajous_table_lines(rows, mode, fmt):
     return lines
 
 
-def _env_processes():
-    """Worker process count for the census table from BRAIDWALK_THREADS."""
-    text = os.environ.get("BRAIDWALK_THREADS", "1")
-    if not text.isdigit() or int(text) < 1:
-        raise UsageError("BRAIDWALK_THREADS must be a positive integer, got %r" % text)
-    return int(text)
+def _cmd_lissajous_classify(args):
+    c = classify(args.q, args.p)
+    word = lissajous_braid(args.q, args.p)
+    print(json.dumps({
+        "q": args.q, "p": args.p, "kind": c.kind, "h": c.h,
+        "trace": c.trace, "p_matrix": [list(r) for r in c.p_matrix],
+        "braid": " ".join(str(g) for g in word.letters),
+    }))
+    return 0
 
 
-def _cmd_lissajous(args):
-    if args.lissajous_cmd == "classify":
-        c = classify(args.q, args.p)
-        word = lissajous_braid(args.q, args.p)
-        print(json.dumps({
-            "q": args.q, "p": args.p, "kind": c.kind, "h": c.h,
-            "trace": c.trace, "p_matrix": [list(r) for r in c.p_matrix],
-            "braid": " ".join(str(g) for g in word.letters),
-        }))
-        return 0
-    if args.lissajous_cmd == "table":
-        qs = tuple(q for q in DEFAULT_TABLE_QS if q <= args.qmax)
-        threads = _env_processes()
-        if threads > 1:
-            with ProcessPoolExecutor(max_workers=threads) as pool:
-                chunks = pool.map(_table_rows, [args.mode] * len(qs), [(q,) for q in qs])
-            rows = [row for chunk in chunks for row in chunk]
-        else:
-            rows = percentage_table(qs=qs, mode=args.mode)
-        _emit(_lissajous_table_lines(rows, args.mode, args.format), args.out)
-        return 0
-    if args.lissajous_cmd == "sample":
-        poly = sample_polyline(args.q, args.p, alpha=args.alpha, samples=args.samples)
-        payload = json.dumps(poly)
-        if args.out:
-            with open(args.out, "w") as fh:
-                fh.write(payload + "\n")
-        else:
-            print(payload)
-        return 0
-    if args.lissajous_cmd == "sweep":
-        word = braid_from_parametrization(args.q, args.p)
-        print(json.dumps({
-            "q": args.q, "p": args.p,
-            "braid": " ".join(str(g) for g in word.letters),
-        }))
-        return 0
-    raise ValueError("unknown lissajous subcommand %r" % args.lissajous_cmd)
+def _cmd_lissajous_table(args):
+    qs = tuple(q for q in DEFAULT_TABLE_QS if q <= args.qmax)
+    rows = percentage_table(qs=qs, mode=args.mode)
+    _emit(_lissajous_table_lines(rows, args.mode, args.format), args.out)
+    return 0
+
+
+def _cmd_lissajous_sample(args):
+    poly = sample_polyline(args.q, args.p, alpha=args.alpha, samples=args.samples)
+    payload = json.dumps(poly)
+    if args.out:
+        with open(args.out, "w") as fh:
+            fh.write(payload + "\n")
+    else:
+        print(payload)
+    return 0
+
+
+def _cmd_lissajous_sweep(args):
+    word = braid_from_parametrization(args.q, args.p)
+    print(json.dumps({
+        "q": args.q, "p": args.p,
+        "braid": " ".join(str(g) for g in word.letters),
+    }))
+    return 0
 
 
 def _cmd_reproduce(args):
-    if args.target != "paper-tables":
-        raise ValueError("unknown reproduction target %r" % args.target)
     os.makedirs(args.out_dir, exist_ok=True)
 
     mu = GenMeasure.uniform_generators(3)
@@ -351,14 +327,14 @@ def build_parser():
     pc = lsub.add_parser("classify", help="trichotomy class of a frequency pair")
     pc.add_argument("--q", type=int, required=True)
     pc.add_argument("--p", type=int, required=True)
-    pc.set_defaults(fn=_cmd_lissajous)
+    pc.set_defaults(fn=_cmd_lissajous_classify)
 
     pt = lsub.add_parser("table", help="zero-signature percentage table")
     pt.add_argument("--qmax", type=int, default=101)
     pt.add_argument("--mode", choices=("literal", "full-range"), default="literal")
     pt.add_argument("--format", choices=("csv", "json", "markdown"), default="csv")
     pt.add_argument("--out", default=None)
-    pt.set_defaults(fn=_cmd_lissajous)
+    pt.set_defaults(fn=_cmd_lissajous_table)
 
     ps = lsub.add_parser("sample", help="export the space curve as a polyline")
     ps.add_argument("--q", type=int, required=True)
@@ -366,15 +342,15 @@ def build_parser():
     ps.add_argument("--alpha", type=float, default=0.0)
     ps.add_argument("--samples", type=int, default=2000)
     ps.add_argument("--out", default=None)
-    ps.set_defaults(fn=_cmd_lissajous)
+    ps.set_defaults(fn=_cmd_lissajous_sample)
 
     pw = lsub.add_parser("sweep", help="braid word read off the parametrised curve")
     pw.add_argument("--q", type=int, required=True)
     pw.add_argument("--p", type=int, required=True)
-    pw.set_defaults(fn=_cmd_lissajous)
+    pw.set_defaults(fn=_cmd_lissajous_sweep)
 
     p = sub.add_parser("reproduce", help="regenerate the statistics tables")
-    p.add_argument("target", help="'paper-tables'")
+    p.add_argument("target", choices=("paper-tables",))
     p.add_argument("--out-dir", default="tables")
     p.set_defaults(fn=_cmd_reproduce)
 
@@ -386,9 +362,6 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except UsageError as exc:
-        print("braidwalk: usage error: %s" % exc, file=sys.stderr)
-        return 1
     except (ValueError, RuntimeError, OverflowError, ZeroDivisionError) as exc:
         print("braidwalk: computation error: %s" % exc, file=sys.stderr)
         return 2

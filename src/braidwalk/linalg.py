@@ -4,9 +4,9 @@ Matrices are tuples of row tuples.  mat_mul and its relatives take any ring
 entries (python ints, Fractions, LaurentPoly).  The two kernels of the
 n-strand invariants stay in integers: det_ring is fraction-free Bareiss
 elimination over Z or Z[t, 1/t], and form_signature is integer symmetric
-elimination with gcd reduction.  mat_inverse and the subspace functions
-(rref, kernel_basis, ...) work over Q with Fractions.  No floating point
-anywhere.
+elimination with gcd reduction.  rref is the one elimination over Q, with
+Fractions; mat_inverse (and so mat_pow with a negative exponent) is built
+on it.  No floating point anywhere.
 """
 
 from __future__ import annotations
@@ -106,21 +106,14 @@ def det_ring(a: Matrix):
 
 
 def mat_inverse(a: Matrix) -> Matrix:
-    """Inverse over Q (entries become Fractions)."""
+    """Inverse over Q (entries become Fractions): the right half of
+    rref([a | I]); raises ValueError on a singular matrix."""
     d = len(a)
-    m = [[Fraction(x) for x in row] + [Fraction(1 if i == j else 0) for j in range(d)] for i, row in enumerate(a)]
-    for col in range(d):
-        pivot = next((r for r in range(col, d) if m[r][col] != 0), None)
-        if pivot is None:
-            raise ValueError("matrix is singular")
-        m[col], m[pivot] = m[pivot], m[col]
-        inv = 1 / m[col][col]
-        m[col] = [x * inv for x in m[col]]
-        for r in range(d):
-            if r != col and m[r][col] != 0:
-                f = m[r][col]
-                m[r] = [x - f * y for x, y in zip(m[r], m[col])]
-    return tuple(tuple(row[d:]) for row in m)
+    aug = [list(row) + [int(i == j) for j in range(d)] for i, row in enumerate(a)]
+    rows, pivots = rref(aug)
+    if pivots != list(range(d)):
+        raise ValueError("matrix is singular")
+    return tuple(tuple(row[d:]) for row in rows)
 
 
 def rref(rows: Sequence[Sequence]) -> tuple[list[list[Fraction]], list[int]]:
@@ -148,72 +141,6 @@ def rref(rows: Sequence[Sequence]) -> tuple[list[list[Fraction]], list[int]]:
         if r == len(m):
             break
     return m[:r], pivots
-
-
-def kernel_basis(a: Matrix) -> list[Vector]:
-    """Echelonized basis of {x : a x = 0} over Q."""
-    if not a:
-        return []
-    nc = len(a[0])
-    rows, pivots = rref(a)
-    free = [c for c in range(nc) if c not in pivots]
-    basis = []
-    for f in free:
-        v = [Fraction(0)] * nc
-        v[f] = Fraction(1)
-        for r, p in enumerate(pivots):
-            v[p] = -rows[r][f]
-        basis.append(tuple(v))
-    out, _ = rref(basis)
-    return [tuple(r) for r in out]
-
-
-def image_basis(a: Matrix) -> list[Vector]:
-    """Echelonized basis of the column space of a."""
-    cols = list(zip(*a))
-    rows, _ = rref(cols)
-    return [tuple(r) for r in rows]
-
-
-def span_contains(basis: Sequence[Vector], v: Vector) -> bool:
-    rows, _ = rref(list(basis))
-    aug, _ = rref(list(basis) + [v])
-    return len(aug) == len(rows)
-
-
-def subspace_intersection(u: Sequence[Vector], v: Sequence[Vector]) -> list[Vector]:
-    """Echelonized basis of span(u) intersect span(v)."""
-    u = [tuple(Fraction(x) for x in w) for w in u]
-    v = [tuple(Fraction(x) for x in w) for w in v]
-    if not u or not v:
-        return []
-    d = len(u[0])
-    # x = sum a_i u_i = sum b_j v_j  <=>  (a|b) in kernel of [U^T | -V^T]
-    stacked = tuple(
-        tuple(list(col_u) + [-x for x in col_v])
-        for col_u, col_v in zip(zip(*u), zip(*v))
-    )
-    out = []
-    for k in kernel_basis(stacked):
-        coeffs = k[: len(u)]
-        vec = tuple(sum(c * w[i] for c, w in zip(coeffs, u)) for i in range(d))
-        if any(x != 0 for x in vec):
-            out.append(vec)
-    rows, _ = rref(out)
-    return [tuple(r) for r in rows]
-
-
-def solve_particular(a: Matrix, b: Vector) -> Vector:
-    """One rational solution of a x = b; raises ValueError if inconsistent."""
-    nr, nc = len(a), len(a[0])
-    aug = [list(row) + [bv] for row, bv in zip(a, b)]
-    rows, pivots = rref(aug)
-    x = [Fraction(0)] * nc
-    for r, p in enumerate(pivots):
-        if p == nc:
-            raise ValueError("inconsistent linear system")
-        x[p] = rows[r][nc]
-    return tuple(x)
 
 
 def form_signature(gram: Matrix) -> int:

@@ -19,43 +19,27 @@ phi = +-2/3 and one-letter closures are trivial links, so the recursion
 telescopes to sign(closure(w)) = phi(B(w)) - 2 e(w)/3, with e the exponent
 sum.  3 phi is an integer; sums are kept in thirds and divided once.
 
-meyer_space and meyer_gram are the generic route (the signature of the
-Meyer form on Im(g1^{-1} - I) cap Im(g2 - I)), kept as the reference the
-closed form is tested against; the Gram matrix is rational, so the tests
-sign it with the Fraction elimination of their linear-algebra oracle.
+The generic route, the signature of the Meyer form on
+Im(g1^{-1} - I) cap Im(g2 - I), is the reference the closed form is
+tested against; it lives in tests/meyer_oracle.py.
 
 seifert_signature_oracle is the independent check: it builds an explicit
 Seifert matrix for the closure of any braid word (disks = strands, bands =
 crossings, loops between consecutive crossings on the same strand pair)
 and takes the signature of V + V^T.
 
-The symplectic form is Omega(x, y) = x2*y1 - x1*y2.  The sign is pinned by
-the convention that positive links have negative signature (trefoil -> -2);
-the oracle agrees with the recursion on every word we test.
+Signs follow the convention that positive links have negative signature
+(trefoil -> -2); the oracle agrees with the recursion on every word we
+test.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .braid import BraidWord, closure_components, writhe
 from .burau import burau_minus1
-from .linalg import (
-    Matrix,
-    Vector,
-    form_signature,
-    identity,
-    mat_mul,
-    mat_sub,
-    solve_particular,
-    subspace_intersection,
-)
-
-
-def omega(x: Vector, y: Vector):
-    """Symplectic form on Q^2 used throughout the Meyer computation."""
-    return x[1] * y[0] - x[0] * y[1]
+from .linalg import Matrix, form_signature, identity, mat_mul
 
 
 def _check_sl2(m: Matrix, name: str) -> None:
@@ -65,52 +49,6 @@ def _check_sl2(m: Matrix, name: str) -> None:
         raise ValueError(f"{name} must have integer entries")
     if m[0][0] * m[1][1] - m[0][1] * m[1][0] != 1:
         raise ValueError(f"{name} must have determinant 1")
-
-
-def _inv2(m: Matrix) -> Matrix:
-    a, b = m[0]
-    c, d = m[1]
-    return ((d, -b), (-c, a))
-
-
-def meyer_space(g1: Matrix, g2: Matrix) -> list[Vector]:
-    """Basis of E = Im(g1^{-1} - I) cap Im(g2 - I)."""
-    _check_sl2(g1, "g1")
-    _check_sl2(g2, "g2")
-    i2 = identity(2)
-    im1 = [col for col in zip(*mat_sub(_inv2(g1), i2)) if any(col)]
-    im2 = [col for col in zip(*mat_sub(g2, i2)) if any(col)]
-    return subspace_intersection(im1, im2)
-
-
-def meyer_gram(g1: Matrix, g2: Matrix) -> tuple[list[Vector], Matrix]:
-    """Basis of E and the Gram matrix of the Meyer form on it.
-
-    For each basis vector e, particular solutions of
-    (g1^{-1} - I) v1 = e  and  (g2 - I) v2 = -e
-    are found exactly; the quadratic form is q(e) = Omega(e, v1 + v2) and
-    the Gram matrix is its polarization.
-    """
-    basis = meyer_space(g1, g2)
-    if not basis:
-        return [], ()
-    i2 = identity(2)
-    a1 = mat_sub(_inv2(g1), i2)
-    a2 = mat_sub(g2, i2)
-    vs = []
-    for e in basis:
-        v1 = solve_particular(a1, e)
-        v2 = solve_particular(a2, tuple(-x for x in e))
-        vs.append(tuple(x + y for x, y in zip(v1, v2)))
-    d = len(basis)
-    gram = tuple(
-        tuple(
-            Fraction(omega(basis[a], vs[b]) + omega(basis[b], vs[a]), 2)
-            for b in range(d)
-        )
-        for a in range(d)
-    )
-    return basis, gram
 
 
 def _sgn(x: int) -> int:
@@ -260,22 +198,6 @@ def seifert_signature_oracle(word: BraidWord) -> int:
         tuple(v[i][j] + v[j][i] for j in range(len(v))) for i in range(len(v))
     )
     return form_signature(sym)
-
-
-def quasipositive_invariants(
-    bands: int, strands: int, components: int | None = None
-) -> tuple[int, int | None]:
-    """(chi_4, g_4) of the closure of a quasipositive braid.
-
-    A product of `bands` conjugates of positive generators on `strands`
-    strands closes into a link with chi_4 = strands - bands; when the
-    closure is a knot (components == 1) the 4-genus is (1 - chi_4) / 2.
-    """
-    if bands < 0 or strands < 2:
-        raise ValueError("need bands >= 0 and strands >= 2")
-    chi4 = strands - bands
-    g4 = (1 - chi4) // 2 if components == 1 else None
-    return chi4, g4
 
 
 def check_big_entries(word: BraidWord) -> bool:

