@@ -19,32 +19,8 @@ representation one dimension down.
 from __future__ import annotations
 
 from .braid import BraidWord
-from .laurent import ONE, LaurentPoly, T
+from .laurent import ONE, LaurentPoly
 from .linalg import Matrix, det_ring, identity, mat_mul, mat_sub, mat_transpose
-
-_T_INV = LaurentPoly.t_power(-1)
-
-
-def burau_generator(n: int, i: int, inverse: bool = False) -> Matrix:
-    """Image of sigma_i (or its inverse) in B(n), entries LaurentPoly."""
-    m = n - 1
-    if not 1 <= i <= m:
-        raise ValueError(f"generator index {i} out of range for {n} strands")
-    rows = [[ONE if a == b else LaurentPoly.const(0) for b in range(m)] for a in range(m)]
-    r = m - i
-    if inverse:
-        if r - 1 >= 0:
-            rows[r][r - 1] = -_T_INV
-        rows[r][r] = -_T_INV
-        if r + 1 < m:
-            rows[r][r + 1] = -ONE
-    else:
-        if r - 1 >= 0:
-            rows[r][r - 1] = -ONE
-        rows[r][r] = -T
-        if r + 1 < m:
-            rows[r][r + 1] = -T
-    return tuple(tuple(row) for row in rows)
 
 
 def burau_matrix(word: BraidWord) -> Matrix:
@@ -71,28 +47,6 @@ def burau_matrix(word: BraidWord) -> Matrix:
     return tuple(zip(*cols))
 
 
-def burau_generator_minus1(n: int, i: int, inverse: bool = False) -> Matrix:
-    """Integer image of sigma_i at t = -1."""
-    m = n - 1
-    if not 1 <= i <= m:
-        raise ValueError(f"generator index {i} out of range for {n} strands")
-    rows = [[1 if a == b else 0 for b in range(m)] for a in range(m)]
-    r = m - i
-    if inverse:
-        if r - 1 >= 0:
-            rows[r][r - 1] = 1
-        rows[r][r] = 1
-        if r + 1 < m:
-            rows[r][r + 1] = -1
-    else:
-        if r - 1 >= 0:
-            rows[r][r - 1] = -1
-        rows[r][r] = 1
-        if r + 1 < m:
-            rows[r][r + 1] = 1
-    return tuple(tuple(row) for row in rows)
-
-
 def burau_minus1(word: BraidWord) -> Matrix:
     """Integer Burau matrix at t = -1 (product in word order).
 
@@ -100,7 +54,7 @@ def burau_minus1(word: BraidWord) -> Matrix:
     I + s e_r (e_{r+1} - e_{r-1})^T, so multiplying by it on the right
     changes two columns only: col[r-1] -= s col[r] and col[r+1] += s col[r].
     The word is applied to the identity as these column operations, on
-    any strand count; burau_generator_minus1 gives the same matrices.
+    any strand count.
     """
     m = word.strands - 1
     cols = [[int(i == j) for i in range(m)] for j in range(m)]

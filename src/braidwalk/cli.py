@@ -26,6 +26,7 @@ from .lissajous import (
 )
 from .meyer import gg_signature, meyer_cocycle, seifert_signature_oracle
 from .walks import (
+    ENTRY_POLYNOMIALS,
     GenMeasure,
     PREDICATES,
     finite_walk_tv,
@@ -120,19 +121,15 @@ def _cmd_meyer(args):
 
 def _walk_rows(args):
     mu = GenMeasure.uniform_generators(args.strands)
-    if args.predicate not in PREDICATES:
-        raise ValueError(
-            "unknown predicate %r (choose from %s)"
-            % (args.predicate, ", ".join(sorted(PREDICATES)))
-        )
+    predicate = PREDICATES[args.predicate]
     rows = []
     if args.exact:
-        series = hitting_series(mu, args.predicate, args.steps)
+        series = hitting_series(mu, predicate, args.steps)
         for k in range(1, args.steps + 1):
             rows.append((k, series[k], float(series[k])))
     else:
         est = monte_carlo_hitting(
-            mu, args.predicate, args.steps, trials=args.trials, seed=args.seed
+            mu, predicate, args.steps, trials=args.trials, seed=args.seed
         )
         for k in range(1, args.steps + 1):
             hits = est["hits_by_step"][k]
@@ -243,7 +240,7 @@ def _cmd_reproduce(args):
     os.makedirs(args.out_dir, exist_ok=True)
 
     mu = GenMeasure.uniform_generators(3)
-    series = hitting_series(mu, "z11", 12)
+    series = hitting_series(mu, PREDICATES["z11"], 12)
     lines = _header_lines()
     lines.append("step,exact_rational,decimal")
     for k in range(1, 13):
@@ -299,7 +296,7 @@ def build_parser():
         "walk", help="hitting probabilities of the Burau walk, uniform on generators"
     )
     p.add_argument("--strands", type=int, default=3)
-    p.add_argument("--predicate", default="z11")
+    p.add_argument("--predicate", choices=tuple(PREDICATES), default="z11")
     p.add_argument("--steps", type=int, default=12)
     p.add_argument("--exact", action="store_true", help="exact convolution instead of sampling")
     p.add_argument("--trials", type=int, default=100_000)
@@ -308,7 +305,7 @@ def build_parser():
     p.set_defaults(fn=_cmd_walk)
 
     p = sub.add_parser("density", help="zero density of an entry polynomial on Sp(2l,p)")
-    p.add_argument("--poly", default="m11")
+    p.add_argument("--poly", choices=tuple(ENTRY_POLYNOMIALS), default="m11")
     p.add_argument("--l", type=int, default=1)
     p.add_argument("--p", type=int, required=True)
     p.set_defaults(fn=_cmd_density)

@@ -11,6 +11,11 @@ common power-of-denominator, so convolving and summing event probabilities
 is exact.  A vectorised Monte Carlo path, one sampled run recording every
 prefix, is a statistical cross-check for the same hitting probabilities.
 
+Walk predicates and entry polynomials work on stacked matrices: a
+predicate (PREDICATES) maps an (N, d, d) int64 array to N booleans and an
+entry polynomial (ENTRY_POLYNOMIALS) maps the element array to N integers,
+so each runs once per array, never once per matrix.
+
 Reductions mod p land in Sp(2l, F_p) (or its projective quotient).  A
 vectorised breadth-first search builds the Cayley table of the subgroup the
 generator images reach; walks on it push exact integer count vectors, and
@@ -21,7 +26,7 @@ of the closed-form group orders.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
@@ -29,7 +34,7 @@ import numpy as np
 
 from .braid import BraidWord
 from .burau import burau_minus1, intersection_form, symplectic_image
-from .linalg import Matrix, det_ring
+from .linalg import det_ring
 
 
 # ---------------------------------------------------------------------------
@@ -197,42 +202,42 @@ def step_distribution(mu: GenMeasure, rep=burau_minus1, k: int = 1) -> WalkDistr
 # hitting probabilities
 
 
-def predicate_z11(m: Matrix) -> bool:
+def predicate_z11(states: np.ndarray) -> np.ndarray:
     """|top-left entry| > 2: the walk left the recurrent-looking band."""
-    return abs(m[0][0]) > 2
+    return np.abs(states[:, 0, 0]) > 2
 
 
-def predicate_all_entries_big(m: Matrix) -> bool:
-    """Every entry of a 2x2 matrix exceeds 2 in absolute value."""
-    return all(abs(x) > 2 for row in m for x in row)
+def predicate_all_entries_big(states: np.ndarray) -> np.ndarray:
+    """Every entry exceeds 2 in absolute value."""
+    return (np.abs(states) > 2).all(axis=(1, 2))
 
 
-def _z11_numpy(batch: np.ndarray) -> np.ndarray:
-    return np.abs(batch[:, 0, 0]) > 2
+PREDICATES = {"z11": predicate_z11, "all-entries": predicate_all_entries_big}
 
 
-def _all_big_numpy(batch: np.ndarray) -> np.ndarray:
-    return (np.abs(batch) > 2).all(axis=(1, 2))
+def _checked(predicate):
+    """predicate, a name from PREDICATES or a function from an (N, d, d)
+    int64 array to N booleans, as a function that refuses any other result.
 
-
-PREDICATES = {
-    "z11": (predicate_z11, _z11_numpy),
-    "all-entries": (predicate_all_entries_big, _all_big_numpy),
-}
-
-
-def _resolve_predicate(predicate) -> tuple:
-    """(callable, numpy version or None) for a name from PREDICATES or a
-    callable; the named predicates' own callables get their numpy version."""
+    A predicate written for one nested-tuple matrix still runs on a stacked
+    array but answers about one matrix's rows, and summing that answer would
+    give a wrong count, so the shape and dtype are checked on every call.
+    """
     if isinstance(predicate, str):
-        try:
-            return PREDICATES[predicate]
-        except KeyError:
-            raise ValueError("unknown predicate %r" % predicate) from None
-    for py_fn, np_fn in PREDICATES.values():
-        if predicate is py_fn:
-            return py_fn, np_fn
-    return predicate, None
+        if predicate not in PREDICATES:
+            raise ValueError("unknown predicate %r" % predicate)
+        predicate = PREDICATES[predicate]
+
+    def hits(states: np.ndarray) -> np.ndarray:
+        hit = np.asarray(predicate(states))
+        if hit.dtype != bool or hit.shape != states.shape[:1]:
+            raise ValueError(
+                "a predicate must map an (N, d, d) array to N booleans; "
+                "it gave %s of shape %s for N = %d" % (hit.dtype, hit.shape, len(states))
+            )
+        return hit
+
+    return hits
 
 
 def hitting_series(
@@ -240,31 +245,24 @@ def hitting_series(
 ) -> list[Fraction]:
     """Exact values of P(predicate holds at step k) for k = 0..kmax.
 
-    One DP pass.  predicate may be a name from PREDICATES or a callable on
-    nested-tuple matrices; the named predicates run vectorised on each
-    step's states, any other callable once per distinct matrix over all
-    steps.
+    One DP pass; predicate (a name from PREDICATES or a function on stacked
+    states) runs once per step on that step's distinct states.
     """
-    predicate, np_pred = _resolve_predicate(predicate)
-    seen: dict = {}
-    out = []
-    for states, counts, scale in _walk_laws(mu, rep, kmax):
-        if np_pred is not None:
-            hit = np_pred(states)
-        else:
-            hit = []
-            for m in _matrices(states):
-                flag = seen.get(m)
-                if flag is None:
-                    flag = seen[m] = bool(predicate(m))
-                hit.append(flag)
-        out.append(Fraction(int(counts[np.array(hit, dtype=bool)].sum()), scale))
-    return out
+    predicate = _checked(predicate)
+    return [
+        Fraction(int(counts[predicate(states)].sum()), scale)
+        for states, counts, scale in _walk_laws(mu, rep, kmax)
+    ]
 
 
 def hitting_probability(mu: GenMeasure, predicate, k: int, rep=burau_minus1) -> Fraction:
     """Exact probability that the predicate holds after exactly k steps."""
     return hitting_series(mu, predicate, k, rep=rep)[k]
+
+
+_MC_BATCH = 100_000
+"""Walks sampled per batch by monte_carlo_hitting; the batches draw from one
+generator, so the seeded output does not depend on this size."""
 
 
 def monte_carlo_hitting(
@@ -274,7 +272,6 @@ def monte_carlo_hitting(
     trials: int = 100_000,
     seed: int = 0,
     rep=burau_minus1,
-    batch: int = 100_000,
 ) -> dict:
     """Monte Carlo estimate of the step-k hitting probability.
 
@@ -283,8 +280,8 @@ def monte_carlo_hitting(
     of Burau images grow geometrically, so k is refused before sampling when
     (largest row-sum norm of an atom image)^k >= 2^62, the a priori bound on
     every entry and partial sum of a k-fold product; k > 40 is refused
-    outright.  predicate may be a callable on nested-tuple matrices or a name
-    from PREDICATES (the named ones use a vectorised path).
+    outright.  predicate is a name from PREDICATES or a function on stacked
+    states, as in hitting_series.
 
     Returns a dict with estimate, stderr, a 95% normal-approximation
     confidence interval, raw hit/trial counts, the seed, and hits_by_step:
@@ -296,30 +293,24 @@ def monte_carlo_hitting(
         raise ValueError("step count must be >= 0")
     if trials <= 0:
         raise ValueError("trials must be positive")
-    predicate, np_pred = _resolve_predicate(predicate)
+    predicate = _checked(predicate)
     mats, wnums, denom = _atom_images(mu, rep)
     _check_entry_bound(mats, k)
     d = mats.shape[1]
     weights = np.array(wnums, dtype=np.float64) / denom
     cum = np.cumsum(weights)
     cum[-1] = 1.0
-
-    def count_hits(cur: np.ndarray) -> int:
-        if np_pred is not None:
-            return int(np_pred(cur).sum())
-        return sum(1 for m in _matrices(cur) if predicate(m))
-
     rng = np.random.default_rng(seed)
     hits_by_step = [0] * (k + 1)
     done = 0
     while done < trials:
-        n = min(batch, trials - done)
+        n = min(_MC_BATCH, trials - done)
         picks = np.searchsorted(cum, rng.random((n, k)), side="right")
         cur = np.broadcast_to(np.eye(d, dtype=np.int64), (n, d, d)).copy()
-        hits_by_step[0] += count_hits(cur)
+        hits_by_step[0] += int(predicate(cur).sum())
         for step in range(k):
             cur = cur @ mats[picks[:, step]]
-            hits_by_step[step + 1] += count_hits(cur)
+            hits_by_step[step + 1] += int(predicate(cur).sum())
         done += n
 
     hits = hits_by_step[k]
@@ -511,28 +502,14 @@ def _cayley_table(gens: list, p: int, projective: bool):
     return codes, elements, tables
 
 
-@dataclass(frozen=True)
-class EntryPolynomial:
-    """Named polynomial in the matrix entries, evaluated mod p."""
-
-    name: str
-    fn: object = field(repr=False)
-
-    def __call__(self, m: Matrix, p: int) -> int:
-        return self.fn(m, p) % p
-
-
+# entry polynomials on the (N, d, d) element array, one value per element
 ENTRY_POLYNOMIALS = {
-    "m11": EntryPolynomial("m11", lambda m, p: m[0][0]),
-    "m12": EntryPolynomial("m12", lambda m, p: m[0][1]),
-    "m21": EntryPolynomial("m21", lambda m, p: m[1][0]),
-    "m22": EntryPolynomial("m22", lambda m, p: m[1][1]),
-    "det-1": EntryPolynomial("det-1", lambda m, p: det_ring(m) - 1),
+    "m11": lambda elements: elements[:, 0, 0],
+    "m12": lambda elements: elements[:, 0, 1],
+    "m21": lambda elements: elements[:, 1, 0],
+    "m22": lambda elements: elements[:, 1, 1],
+    "det-1": lambda elements: np.array([det_ring(m) - 1 for m in elements.tolist()]),
 }
-
-# the named single-entry polynomials (matched by identity), which
-# zero_density counts on the whole element array at once
-_ENTRY_INDEX = {"m11": (0, 0), "m12": (0, 1), "m21": (1, 0), "m22": (1, 1)}
 
 # transvection x -> x + <e1 + e3, x> (e1 + e3) for the tridiagonal form J on
 # Z^4; the 5-strand braid images alone generate a proper subgroup of
@@ -540,19 +517,15 @@ _ENTRY_INDEX = {"m11": (0, 0), "m12": (0, 1), "m21": (1, 0), "m22": (1, 1)}
 _SP4_TRANSVECTION = ((1, 0, 0, 1), (0, 1, 0, 0), (0, 0, 1, 1), (0, 0, 0, 1))
 
 
-def zero_density(poly, l: int, p: int) -> Fraction:
-    """Fraction of Sp(2l, p) where the entry polynomial vanishes mod p.
+def zero_density(poly: str, l: int, p: int) -> Fraction:
+    """Fraction of Sp(2l, p) where the named entry polynomial vanishes mod p.
 
     Exhaustive over the group, enumerated from the (2l+1)-strand generator
     images (plus a transvection for l >= 2); refused when |Sp(2l, p)|
-    exceeds MAX_GROUP_ORDER.  The named single-entry polynomials are
-    counted on the element array, any other polynomial per element.
+    exceeds MAX_GROUP_ORDER.  poly is a name from ENTRY_POLYNOMIALS.
     """
-    if isinstance(poly, str):
-        try:
-            poly = ENTRY_POLYNOMIALS[poly]
-        except KeyError:
-            raise ValueError("unknown entry polynomial %r" % poly) from None
+    if poly not in ENTRY_POLYNOMIALS:
+        raise ValueError("unknown entry polynomial %r" % (poly,))
     order = sp_order(l, p)
     _check_budget(order)
     gens = [burau_minus1(BraidWord(2 * l + 1, (i,))) for i in range(1, 2 * l + 1)]
@@ -564,11 +537,7 @@ def zero_density(poly, l: int, p: int) -> Fraction:
             "generators reach %d of the %d elements of Sp(%d, %d)"
             % (len(elements), order, 2 * l, p)
         )
-    entry = next((_ENTRY_INDEX.get(n) for n, q in ENTRY_POLYNOMIALS.items() if q is poly), None)
-    if entry is not None:
-        zeros = int((elements[:, entry[0], entry[1]] % p == 0).sum())
-    else:
-        zeros = sum(1 for m in elements if poly(tuple(map(tuple, m.tolist())), p) == 0)
+    zeros = int((ENTRY_POLYNOMIALS[poly](elements) % p == 0).sum())
     return Fraction(zeros, order)
 
 

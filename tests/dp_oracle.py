@@ -13,7 +13,14 @@ from math import gcd
 
 from braidwalk.burau import burau_minus1
 from braidwalk.linalg import Matrix, identity, mat_mul
-from braidwalk.walks import PREDICATES, GenMeasure, WalkDistribution
+from braidwalk.walks import GenMeasure, WalkDistribution
+
+# the named predicates of braidwalk.walks.PREDICATES, written for one
+# nested-tuple matrix
+PREDICATES = {
+    "z11": lambda m: abs(m[0][0]) > 2,
+    "all-entries": lambda m: all(abs(x) > 2 for row in m for x in row),
+}
 
 
 def _flatten(m: Matrix) -> tuple:
@@ -87,11 +94,12 @@ def hitting_series(
     mu: GenMeasure, predicate, kmax: int, rep=burau_minus1
 ) -> list[Fraction]:
     """Exact values of P(predicate holds at step k) for k = 0..kmax, with the
-    predicate evaluated once per distinct matrix."""
+    predicate (a name from PREDICATES or a function on one nested-tuple
+    matrix) evaluated once per distinct matrix."""
     if kmax < 0:
         raise ValueError("step count must be >= 0")
     if isinstance(predicate, str):
-        predicate = PREDICATES[predicate][0]
+        predicate = PREDICATES[predicate]
     images, denom, d = _atom_images(mu, rep)
     states = {_flatten(identity(d)): 1}
     seen: dict = {}

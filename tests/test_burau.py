@@ -12,8 +12,6 @@ from braidwalk.braid import BraidWord, closure_components, inverse
 from braidwalk.burau import (
     alexander_at_minus1,
     alexander_poly,
-    burau_generator,
-    burau_generator_minus1,
     burau_matrix,
     burau_minus1,
     intersection_form,
@@ -24,6 +22,7 @@ from braidwalk.burau import (
 )
 from braidwalk.laurent import ONE, LaurentPoly
 from braidwalk.linalg import identity, mat_mul, mat_transpose, mat_vec
+from burau_oracle import burau_generator, burau_generator_minus1
 from linalg_oracle import det_laplace
 
 

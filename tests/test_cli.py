@@ -113,6 +113,17 @@ def test_removed_flags_are_usage_errors(capsys, argv):
     assert "unrecognized arguments" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    ("walk", "--predicate", "nope"),
+    ("density", "--poly", "m13", "--p", "5"),
+], ids=["walk-predicate", "density-poly"])
+def test_unknown_names_are_usage_errors(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(list(argv))
+    assert exc.value.code == 1
+    assert "invalid choice" in capsys.readouterr().err
+
+
 def test_density(capsys):
     rc, out, _ = run(capsys, "density", "--poly", "m11", "--l", "1", "--p", "5")
     assert rc == 0

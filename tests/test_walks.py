@@ -12,7 +12,6 @@ from braidwalk.burau import burau_minus1, symplectic_image
 from braidwalk.linalg import identity
 from braidwalk.walks import (
     ENTRY_POLYNOMIALS,
-    EntryPolynomial,
     GenMeasure,
     MAX_GROUP_ORDER,
     count_group_bruteforce,
@@ -34,6 +33,7 @@ from braidwalk.walks import (
 import dp_oracle
 import fp_oracle
 from fp_oracle import FpMatrix, finite_step_distribution, reduce_mod_p
+from linalg_oracle import det_laplace
 
 MU3 = GenMeasure.uniform_generators(3)
 
@@ -104,9 +104,9 @@ def test_monte_carlo_hits_by_step():
     assert len(by_step) == 9
     assert by_step[8] == out["hits"]
     assert by_step[:3] == [0, 0, 0]  # |m11| <= 2 for words of length <= 2
-    # a callable that is not a named predicate takes the per-row path
-    slow = monte_carlo_hitting(MU3, lambda m: predicate_z11(m), 8, trials=3000, seed=11)
-    assert slow["hits_by_step"] == by_step
+    # a caller's function on stacked states counts as the name does
+    own = monte_carlo_hitting(MU3, lambda s: s[:, 0, 0] ** 2 > 4, 8, trials=3000, seed=11)
+    assert own["hits_by_step"] == by_step
     # every prefix count estimates its own step's probability
     for k in (3, 5):
         exact = float(hitting_probability(MU3, predicate_z11, k))
@@ -122,6 +122,20 @@ def test_monte_carlo_validation():
         monte_carlo_hitting(MU3, "z11", 3, trials=0)
     with pytest.raises(ValueError):
         monte_carlo_hitting(MU3, "no-such-predicate", 3, trials=10)
+
+
+@pytest.mark.parametrize("predicate", [
+    lambda m: abs(m[0][0]) > 2,
+    lambda s: bool((np.abs(s[:, 0, 0]) > 2).any()),
+    lambda s: np.abs(s[:, 0, 0]),
+], ids=["tuple-form", "scalar", "not-bool"])
+def test_predicate_must_give_one_bool_per_state(predicate):
+    # a predicate written for one nested-tuple matrix, run on a stacked
+    # array, answers about the rows of one matrix; its sum is still an int
+    with pytest.raises(ValueError, match="N booleans"):
+        hitting_series(MU3, predicate, 3)
+    with pytest.raises(ValueError, match="N booleans"):
+        monte_carlo_hitting(MU3, predicate, 3, trials=100, seed=1)
 
 
 def test_monte_carlo_refuses_overflow_before_sampling(monkeypatch):
@@ -158,9 +172,10 @@ def test_zero_density_anchors():
     assert zero_density("m21", 1, 5) == Fraction(1, 6)
     assert zero_density("m12", 1, 7) == Fraction(1, 8)
     assert zero_density("det-1", 1, 5) == 1
-    assert zero_density(ENTRY_POLYNOMIALS["m11"], 1, 3) == Fraction(1, 4)
     with pytest.raises(ValueError):
         zero_density("m13", 1, 5)
+    with pytest.raises(ValueError):
+        zero_density(ENTRY_POLYNOMIALS["m11"], 1, 3)  # names only
     with pytest.raises(ValueError):
         zero_density("m11", 3, 3)
 
@@ -170,22 +185,25 @@ def test_zero_density_sp4_regression():
     assert zero_density("m11", 2, 3) == Fraction(13, 40)
 
 
+# the entry polynomials of walks.ENTRY_POLYNOMIALS on one nested-tuple matrix
+TUPLE_POLYNOMIALS = {
+    "m11": lambda m: m[0][0],
+    "m12": lambda m: m[0][1],
+    "m21": lambda m: m[1][0],
+    "m22": lambda m: m[1][1],
+    "det-1": lambda m: det_laplace(m) - 1,
+}
+
+
 @pytest.mark.parametrize("l,p", [(1, 2), (1, 3), (1, 5), (1, 7), (1, 11), (1, 13),
                                  (2, 2), (2, 3)])
 def test_zero_density_matches_bruteforce_count(l, p):
     group = list(enumerate_sl2(p) if l == 1 else enumerate_sp4(p))
     assert len(group) == sp_order(l, p)
-    for name, poly in ENTRY_POLYNOMIALS.items():
-        zeros = sum(1 for m in group if poly(m, p) == 0)
+    assert set(TUPLE_POLYNOMIALS) == set(ENTRY_POLYNOMIALS)
+    for name, poly in TUPLE_POLYNOMIALS.items():
+        zeros = sum(1 for m in group if poly(m) % p == 0)
         assert zero_density(name, l, p) == Fraction(zeros, len(group)), name
-
-
-@pytest.mark.parametrize("l,p", [(1, 5), (1, 13), (2, 3)])
-def test_zero_density_entry_array_matches_per_element(l, p):
-    # a caller-supplied polynomial takes the per-element path
-    for name in ("m11", "m12", "m21", "m22"):
-        slow = EntryPolynomial(name, ENTRY_POLYNOMIALS[name].fn)
-        assert zero_density(slow, l, p) == zero_density(name, l, p), name
 
 
 def test_group_order_budget():
@@ -289,24 +307,29 @@ def _skewed(strands):
 # largest k per strand count that keeps the dict oracle near a second
 ORACLE_KMAX = {3: 12, 4: 8, 5: 6}
 
+# custom predicates as (array form, nested-tuple form for dp_oracle) pairs
+ROW1_SUM = (lambda s: s[:, 0].sum(axis=1) > 1, lambda m: sum(m[0]) > 1)
+M22_NEGATIVE = (lambda s: s[:, 1, 1] < 0, lambda m: m[1][1] < 0)
+
 
 @given(
     st.sampled_from([3, 4, 5]),
     st.sampled_from([burau_minus1, symplectic_image]),
     st.booleans(),
-    st.sampled_from(["z11", lambda m: sum(m[0]) > 1]),
+    st.sampled_from(["z11", ROW1_SUM]),
     st.data(),
 )
 @example(5, burau_minus1, True, "z11", None)
-@example(3, symplectic_image, False, predicate_all_entries_big, None)
+@example(3, symplectic_image, False, "all-entries", None)
 @settings(max_examples=12, deadline=None)
 def test_walk_dp_matches_dict_oracle(strands, rep, skewed, predicate, data):
     mu = _skewed(strands) if skewed else GenMeasure.uniform_generators(strands)
     kmax = ORACLE_KMAX[strands]
     if data is not None:
         kmax = data.draw(st.integers(min_value=0, max_value=kmax))
-    assert hitting_series(mu, predicate, kmax, rep=rep) == dp_oracle.hitting_series(
-        mu, predicate, kmax, rep=rep
+    fast, slow = (predicate, predicate) if isinstance(predicate, str) else predicate
+    assert hitting_series(mu, fast, kmax, rep=rep) == dp_oracle.hitting_series(
+        mu, slow, kmax, rep=rep
     )
     assert step_distribution(mu, rep, kmax) == dp_oracle.step_distribution(mu, rep, kmax)
 
@@ -319,8 +342,8 @@ def test_walk_dp_object_counts_beyond_int64():
     # denom^1 = 2^40 fits int64, denom^2 = 2^80 does not
     assert [law[1].dtype for law in _walk_laws(mu, burau_minus1, 1)] == [np.int64] * 2
     assert [law[1].dtype for law in _walk_laws(mu, burau_minus1, 2)] == [object] * 3
-    for predicate in ("z11", lambda m: m[1][1] < 0):
-        assert hitting_series(mu, predicate, 6) == dp_oracle.hitting_series(mu, predicate, 6)
+    for fast, slow in (("z11", "z11"), M22_NEGATIVE):
+        assert hitting_series(mu, fast, 6) == dp_oracle.hitting_series(mu, slow, 6)
     assert step_distribution(mu, k=6) == dp_oracle.step_distribution(mu, k=6)
     assert step_distribution(mu, k=6).total() == 1
 
@@ -337,21 +360,6 @@ def test_walk_dp_refuses_entry_overflow_before_work():
     assert len(hitting_series(mu5, "z11", 1)) == 2  # 3^1 is fine
 
 
-def test_hitting_series_callable_once_per_distinct_matrix():
-    calls = []
-
-    def counted(m):
-        calls.append(m)
-        return predicate_z11(m)
-
-    kmax = 7
-    assert hitting_series(MU3, counted, kmax) == hitting_series(MU3, "z11", kmax)
-    distinct = set()
-    for k in range(kmax + 1):
-        distinct.update(dp_oracle.step_distribution(MU3, k=k).probs)
-    assert len(calls) == len(distinct) == len(set(calls))
-
-
 @given(st.integers(min_value=0, max_value=5))
 @settings(max_examples=10, deadline=None)
 def test_distribution_total_is_one(k):
@@ -363,5 +371,5 @@ def test_distribution_total_is_one(k):
 def test_hitting_series_in_unit_interval(strands, kmax):
     mu = GenMeasure.uniform_generators(strands)
     rep = symplectic_image if strands % 2 == 0 else burau_minus1
-    for value in hitting_series(mu, lambda m: m[0][0] != 1, kmax, rep=rep):
+    for value in hitting_series(mu, lambda s: s[:, 0, 0] != 1, kmax, rep=rep):
         assert 0 <= value <= 1
