@@ -123,14 +123,6 @@ def symplectic_image(word: BraidWord) -> Matrix:
     return m
 
 
-def _cyclotomic_like(n: int) -> LaurentPoly:
-    """1 + t + ... + t^(n-1)."""
-    out = LaurentPoly.const(0)
-    for e in range(n):
-        out = out + LaurentPoly.t_power(e)
-    return out
-
-
 def alexander_poly(word: BraidWord) -> LaurentPoly:
     """Alexander polynomial of the closure of the word.
 
@@ -139,12 +131,11 @@ def alexander_poly(word: BraidWord) -> LaurentPoly:
     component-count sign, and overall sign fixed by p(1) > 0 (falling back
     to a positive leading coefficient when p(1) = 0).
     """
-    n = word.strands
     b = burau_matrix(word)
-    delta = mat_sub_identity_det(b)
+    delta = det_ring(mat_sub(b, identity(len(b))))
     if delta.is_zero():
         return LaurentPoly.const(0)
-    quot = delta.divide_exact(_cyclotomic_like(n))
+    quot = delta.divide_exact(LaurentPoly({e: 1 for e in range(word.strands)}))
     lo, hi = quot.min_exp(), quot.max_exp()
     centred = quot.shift(-((lo + hi) // 2))
     at_one = centred.evaluate(1)
@@ -152,12 +143,6 @@ def alexander_poly(word: BraidWord) -> LaurentPoly:
         return -centred if at_one < 0 else centred
     lead = centred.coeffs[centred.max_exp()]
     return -centred if lead < 0 else centred
-
-
-def mat_sub_identity_det(b: Matrix) -> LaurentPoly:
-    """det(b - I) for a LaurentPoly matrix."""
-    out = det_ring(mat_sub(b, identity(len(b))))
-    return out if isinstance(out, LaurentPoly) else LaurentPoly.const(out)
 
 
 def alexander_at_minus1(word: BraidWord) -> int:

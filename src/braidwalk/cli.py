@@ -1,8 +1,12 @@
 """Command-line front end: invariants of single words, walk experiments,
-finite-group statistics, Lissajous classification, and table reproduction.
+finite-group statistics, Lissajous classification, table reproduction and
+the exhaustive signature check.
 
-Exit codes: 0 on success, 1 on usage errors, 2 when a computation rejects
-its input (the diagnostic names the violated precondition).
+Each subcommand handler returns its output lines and main writes them, to
+stdout or to the file named by --out; reproduce also writes its three
+table files.  Exit codes: 0 on success, 1 on usage errors and on output
+paths that cannot be written, 2 when a computation rejects its input (the
+diagnostic names the violated precondition).
 """
 
 from __future__ import annotations
@@ -14,7 +18,7 @@ import sys
 from fractions import Fraction
 
 from . import __version__
-from .braid import parse_word
+from .braid import BraidWord, format_word, parse_word
 from .burau import alexander_at_minus1, alexander_poly, burau_matrix, burau_minus1
 from .lissajous import (
     DEFAULT_TABLE_QS,
@@ -62,12 +66,8 @@ def _emit(lines, out_path=None):
         sys.stdout.write(text)
 
 
-def _matrix_json(m):
-    return [[str(x) if not isinstance(x, int) else x for x in row] for row in m]
-
-
 # ---------------------------------------------------------------------------
-# subcommand handlers
+# subcommand handlers: each returns its output lines
 
 
 def _cmd_burau(args):
@@ -77,8 +77,7 @@ def _cmd_burau(args):
         payload = [[repr(entry) for entry in row] for row in m]
     else:
         payload = [list(row) for row in burau_minus1(word)]
-    print(json.dumps({"strands": args.strands, "matrix": payload}))
-    return 0
+    return [json.dumps({"strands": args.strands, "matrix": payload})]
 
 
 def _cmd_alexander(args):
@@ -87,8 +86,7 @@ def _cmd_alexander(args):
     out = {"polynomial": repr(poly)}
     if args.strands % 2 == 1:
         out["at_minus1"] = alexander_at_minus1(word)
-    print(json.dumps(out))
-    return 0
+    return [json.dumps(out)]
 
 
 def _cmd_signature(args):
@@ -101,8 +99,7 @@ def _cmd_signature(args):
                 "the cocycle route needs strands = 3; pass --oracle for other counts"
             )
         value = gg_signature(word).value
-    print(value)
-    return 0
+    return [str(value)]
 
 
 def _parse_sl2(text):
@@ -115,44 +112,34 @@ def _parse_sl2(text):
 def _cmd_meyer(args):
     g1 = _parse_sl2(args.g1)
     g2 = _parse_sl2(args.g2)
-    print(meyer_cocycle(g1, g2))
-    return 0
+    return [str(meyer_cocycle(g1, g2))]
 
 
-def _walk_rows(args):
-    mu = GenMeasure.uniform_generators(args.strands)
-    predicate = PREDICATES[args.predicate]
-    rows = []
-    if args.exact:
-        series = hitting_series(mu, predicate, args.steps)
-        for k in range(1, args.steps + 1):
-            rows.append((k, series[k], float(series[k])))
-    else:
-        est = monte_carlo_hitting(
-            mu, predicate, args.steps, trials=args.trials, seed=args.seed
-        )
-        for k in range(1, args.steps + 1):
-            hits = est["hits_by_step"][k]
-            rows.append((k, Fraction(hits, args.trials), hits / args.trials))
-    return rows
+def _walk_lines(series, seed=None):
+    """CSV of the values series[1:], one row per step k >= 1."""
+    lines = _header_lines(seed=seed)
+    lines.append("step,exact_rational,decimal")
+    for k in range(1, len(series)):
+        lines.append("%d,%s,%.6f" % (k, series[k], float(series[k])))
+    return lines
 
 
 def _cmd_walk(args):
-    rows = _walk_rows(args)
-    seed = None if args.exact else args.seed
-    lines = _header_lines(seed=seed)
-    lines.append("step,exact_rational,decimal")
-    for k, frac, dec in rows:
-        lines.append("%d,%s,%.6f" % (k, frac, dec))
-    _emit(lines, args.out)
-    return 0
+    mu = GenMeasure.uniform_generators(args.strands)
+    predicate = PREDICATES[args.predicate]
+    if args.exact:
+        return _walk_lines(hitting_series(mu, predicate, args.steps))
+    est = monte_carlo_hitting(
+        mu, predicate, args.steps, trials=args.trials, seed=args.seed
+    )
+    series = [Fraction(hits, args.trials) for hits in est["hits_by_step"]]
+    return _walk_lines(series, seed=args.seed)
 
 
 def _cmd_density(args):
     d = zero_density(args.poly, args.l, args.p)
-    print(json.dumps({"poly": args.poly, "l": args.l, "p": args.p,
-                      "density": str(d), "decimal": float(d)}))
-    return 0
+    return [json.dumps({"poly": args.poly, "l": args.l, "p": args.p,
+                        "density": str(d), "decimal": float(d)})]
 
 
 def _cmd_finite_walk(args):
@@ -163,8 +150,7 @@ def _cmd_finite_walk(args):
     lines.append("step,tv_exact,tv_decimal")
     for k, tv in enumerate(res.tv):
         lines.append("%d,%s,%.9f" % (k, tv, float(tv)))
-    _emit(lines, args.out)
-    return 0
+    return lines
 
 
 def _lissajous_table_lines(rows, mode, fmt):
@@ -201,63 +187,63 @@ def _lissajous_table_lines(rows, mode, fmt):
 def _cmd_lissajous_classify(args):
     c = classify(args.q, args.p)
     word = lissajous_braid(args.q, args.p)
-    print(json.dumps({
+    return [json.dumps({
         "q": args.q, "p": args.p, "kind": c.kind, "h": c.h,
         "trace": c.trace, "p_matrix": [list(r) for r in c.p_matrix],
-        "braid": " ".join(str(g) for g in word.letters),
-    }))
-    return 0
+        "braid": format_word(word),
+    })]
 
 
 def _cmd_lissajous_table(args):
     qs = tuple(q for q in DEFAULT_TABLE_QS if q <= args.qmax)
     rows = percentage_table(qs=qs, mode=args.mode)
-    _emit(_lissajous_table_lines(rows, args.mode, args.format), args.out)
-    return 0
+    return _lissajous_table_lines(rows, args.mode, args.format)
 
 
 def _cmd_lissajous_sample(args):
     poly = sample_polyline(args.q, args.p, alpha=args.alpha, samples=args.samples)
-    payload = json.dumps(poly)
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(payload + "\n")
-    else:
-        print(payload)
-    return 0
+    return [json.dumps(poly)]
 
 
 def _cmd_lissajous_sweep(args):
     word = braid_from_parametrization(args.q, args.p)
-    print(json.dumps({
-        "q": args.q, "p": args.p,
-        "braid": " ".join(str(g) for g in word.letters),
-    }))
-    return 0
+    return [json.dumps({"q": args.q, "p": args.p, "braid": format_word(word)})]
 
 
 def _cmd_reproduce(args):
     os.makedirs(args.out_dir, exist_ok=True)
-
     mu = GenMeasure.uniform_generators(3)
     series = hitting_series(mu, PREDICATES["z11"], 12)
-    lines = _header_lines()
-    lines.append("step,exact_rational,decimal")
-    for k in range(1, 13):
-        lines.append("%d,%s,%.6f" % (k, series[k], float(series[k])))
-    walk_path = os.path.join(args.out_dir, "walk_z11_table.csv")
-    _emit(lines, walk_path)
-
-    paths = [walk_path]
+    tables = {"walk_z11_table.csv": _walk_lines(series)}
     for mode in ("literal", "full-range"):
         rows = percentage_table(mode=mode)
-        path = os.path.join(
-            args.out_dir, "lissajous_table_%s.csv" % mode.replace("-", "_")
-        )
-        _emit(_lissajous_table_lines(rows, mode, "csv"), path)
-        paths.append(path)
-    print(json.dumps({"written": paths}))
-    return 0
+        name = "lissajous_table_%s.csv" % mode.replace("-", "_")
+        tables[name] = _lissajous_table_lines(rows, mode, "csv")
+    paths = [os.path.join(args.out_dir, name) for name in tables]
+    for path, lines in zip(paths, tables.values()):
+        _emit(lines, path)
+    return [json.dumps({"written": paths})]
+
+
+def _cmd_verify_oracle(args):
+    """gg_signature against the Seifert oracle on every freely reduced
+    3-braid word of length <= maxlen, depth first."""
+    if args.maxlen < 0:
+        raise ValueError("--maxlen must be >= 0, got %d" % args.maxlen)
+    words = 0
+    stack = [()]
+    while stack:
+        letters = stack.pop()
+        word = BraidWord(3, letters)
+        words += 1
+        fast, oracle = gg_signature(word).value, seifert_signature_oracle(word)
+        if fast != oracle:
+            raise RuntimeError("signature mismatch on the word '%s': gg_signature "
+                               "%d, Seifert oracle %d" % (format_word(word), fast, oracle))
+        if len(letters) < args.maxlen:
+            stack.extend(letters + (g,) for g in (1, -1, 2, -2)
+                         if not letters or letters[-1] != -g)
+    return [json.dumps({"maxlen": args.maxlen, "words": words, "mismatches": 0})]
 
 
 # ---------------------------------------------------------------------------
@@ -351,6 +337,16 @@ def build_parser():
     p.add_argument("--out-dir", default="tables")
     p.set_defaults(fn=_cmd_reproduce)
 
+    p = sub.add_parser("verify", help="exhaustive checks of the fast routes")
+    vsub = p.add_subparsers(dest="verify_cmd", required=True, parser_class=_Parser)
+
+    pv = vsub.add_parser(
+        "oracle", help="3-braid signatures against the Seifert oracle, every word"
+    )
+    pv.add_argument("--maxlen", type=int, default=8,
+                    help="check every freely reduced word of at most this length")
+    pv.set_defaults(fn=_cmd_verify_oracle)
+
     return parser
 
 
@@ -358,10 +354,14 @@ def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.fn(args)
+        _emit(args.fn(args), getattr(args, "out", None))
     except (ValueError, RuntimeError, OverflowError, ZeroDivisionError) as exc:
         print("braidwalk: computation error: %s" % exc, file=sys.stderr)
         return 2
+    except OSError as exc:
+        print("braidwalk: cannot write output: %s" % exc, file=sys.stderr)
+        return 1
+    return 0
 
 
 if __name__ == "__main__":

@@ -19,8 +19,8 @@ Matrix = tuple[tuple, ...]
 Vector = tuple
 
 
-def identity(d: int, one=1, zero=0) -> Matrix:
-    return tuple(tuple(one if i == j else zero for j in range(d)) for i in range(d))
+def identity(d: int) -> Matrix:
+    return tuple(tuple(1 if i == j else 0 for j in range(d)) for i in range(d))
 
 
 def mat_mul(a: Matrix, b: Matrix) -> Matrix:

@@ -255,11 +255,6 @@ def hitting_series(
     ]
 
 
-def hitting_probability(mu: GenMeasure, predicate, k: int, rep=burau_minus1) -> Fraction:
-    """Exact probability that the predicate holds after exactly k steps."""
-    return hitting_series(mu, predicate, k, rep=rep)[k]
-
-
 _MC_BATCH = 100_000
 """Walks sampled per batch by monte_carlo_hitting; the batches draw from one
 generator, so the seeded output does not depend on this size."""

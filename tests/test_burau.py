@@ -20,7 +20,7 @@ from braidwalk.burau import (
     symplectic_image,
     symplectic_quotient,
 )
-from braidwalk.laurent import ONE, LaurentPoly
+from braidwalk.laurent import LaurentPoly
 from braidwalk.linalg import identity, mat_mul, mat_transpose, mat_vec
 from burau_oracle import burau_generator, burau_generator_minus1
 from linalg_oracle import det_laplace
@@ -49,7 +49,7 @@ def test_generator_inverse_is_matrix_inverse():
             g = burau_generator(n, i)
             ginv = burau_generator(n, i, inverse=True)
             prod = mat_mul(g, ginv)
-            assert prod == identity(n - 1, one=ONE, zero=LaurentPoly({}))
+            assert prod == identity(n - 1)
 
 
 @pytest.mark.parametrize("n", [3, 4, 5, 6, 7])
@@ -76,7 +76,7 @@ def test_half_twist_and_full_twist():
 def test_word_inverse_generic(w):
     m = burau_matrix(w)
     minv = burau_matrix(inverse(w))
-    assert mat_mul(m, minv) == identity(2, one=ONE, zero=LaurentPoly({}))
+    assert mat_mul(m, minv) == identity(2)
 
 
 @settings(max_examples=50)
@@ -144,7 +144,7 @@ def test_minus1_column_operations_match_generator_product(w):
 def _generator_product(w):
     """Burau matrix as the mat_mul product of the generator images."""
     n = w.strands
-    out = identity(n - 1, one=ONE, zero=LaurentPoly({}))
+    out = identity(n - 1)
     for g in w.letters:
         out = mat_mul(out, burau_generator(n, abs(g), inverse=g < 0))
     return out

@@ -230,6 +230,58 @@ def test_reproduce_unknown_target_is_usage_error(capsys, tmp_path):
     assert not out_dir.exists()
 
 
+@pytest.mark.parametrize("argv", [
+    ("walk", "--steps", "3", "--trials", "500", "--seed", "2"),
+    ("finite-walk", "--p", "3", "--steps", "4"),
+    ("lissajous", "table", "--qmax", "13", "--format", "markdown"),
+    ("lissajous", "sample", "--q", "3", "--p", "2", "--samples", "8"),
+], ids=["walk", "finite-walk", "lissajous-table", "lissajous-sample"])
+def test_out_writes_the_stdout_bytes(capsys, tmp_path, argv):
+    rc, out, _ = run(capsys, *argv)
+    assert rc == 0
+    target = tmp_path / "out.txt"
+    rc, rest, _ = run(capsys, *argv, "--out", str(target))
+    assert rc == 0 and rest == ""
+    assert target.read_bytes() == out.encode()
+
+
+def test_unwritable_output_exits_1(capsys, tmp_path):
+    missing = tmp_path / "missing" / "x.csv"
+    rc, out, err = run(capsys, "walk", "--exact", "--steps", "3", "--out", str(missing))
+    assert rc == 1 and out == ""
+    assert "braidwalk: cannot write output:" in err and "Traceback" not in err
+    a_file = tmp_path / "a_file"
+    a_file.write_text("kept\n")
+    rc, out, err = run(capsys, "reproduce", "paper-tables", "--out-dir", str(a_file))
+    assert rc == 1 and out == ""
+    assert "braidwalk: cannot write output:" in err
+    assert a_file.read_text() == "kept\n"
+
+
+def test_verify_oracle(capsys):
+    rc, out, _ = run(capsys, "verify", "oracle", "--maxlen", "4")
+    assert rc == 0
+    assert json.loads(out) == {"maxlen": 4, "words": 161, "mismatches": 0}
+
+
+def test_verify_oracle_mismatch_exits_2(capsys, monkeypatch):
+    oracle = cli.seifert_signature_oracle
+
+    def planted(word):
+        return oracle(word) + (word.letters == (1, -2))
+
+    monkeypatch.setattr(cli, "seifert_signature_oracle", planted)
+    rc, out, err = run(capsys, "verify", "oracle", "--maxlen", "3")
+    assert rc == 2 and out == ""
+    assert "signature mismatch on the word '1 -2'" in err
+
+
+def test_verify_oracle_negative_maxlen_exits_2(capsys):
+    rc, out, err = run(capsys, "verify", "oracle", "--maxlen", "-1")
+    assert rc == 2 and out == ""
+    assert "--maxlen" in err
+
+
 def test_exit_codes(capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main(["burau", "--word", "1 2"])  # missing --strands

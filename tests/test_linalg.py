@@ -64,7 +64,7 @@ def test_inverse_roundtrip(m):
             mat_inverse(m)
         return
     inv = mat_inverse(m)
-    assert mat_mul(m, inv) == identity(3, one=Fraction(1), zero=Fraction(0))
+    assert mat_mul(m, inv) == identity(3)
 
 
 @given(int_matrices(3, lo=-4, hi=4))

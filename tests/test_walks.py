@@ -18,7 +18,6 @@ from braidwalk.walks import (
     enumerate_sl2,
     enumerate_sp4,
     finite_walk_tv,
-    hitting_probability,
     _walk_laws,
     hitting_series,
     monte_carlo_hitting,
@@ -76,8 +75,8 @@ def test_hitting_series_anchors():
     assert series[:3] == [Fraction(0), Fraction(0), Fraction(0)]
     assert series[3] == Fraction(1, 16)
     assert series[4] == Fraction(7, 64)
-    assert hitting_probability(MU3, predicate_z11, 3) == Fraction(1, 16)
-    assert hitting_probability(MU3, "z11", 3) == series[3]
+    assert hitting_series(MU3, predicate_z11, 3)[3] == Fraction(1, 16)
+    assert hitting_series(MU3, "z11", 3)[3] == series[3]
 
 
 def test_hitting_series_all_entries_lags_z11():
@@ -88,7 +87,7 @@ def test_hitting_series_all_entries_lags_z11():
 
 
 def test_monte_carlo_matches_exact():
-    exact = float(hitting_probability(MU3, predicate_z11, 6))
+    exact = float(hitting_series(MU3, predicate_z11, 6)[6])
     out = monte_carlo_hitting(MU3, "z11", 6, trials=40_000, seed=7)
     lo, hi = out["ci95"]
     assert lo <= exact <= hi
@@ -109,7 +108,7 @@ def test_monte_carlo_hits_by_step():
     assert own["hits_by_step"] == by_step
     # every prefix count estimates its own step's probability
     for k in (3, 5):
-        exact = float(hitting_probability(MU3, predicate_z11, k))
+        exact = float(hitting_series(MU3, predicate_z11, k)[k])
         assert abs(by_step[k] / 3000 - exact) < 5 * (exact * (1 - exact) / 3000) ** 0.5
 
 
