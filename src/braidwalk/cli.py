@@ -4,14 +4,16 @@ the exhaustive signature check.
 
 Each subcommand handler returns its output lines and main writes them, to
 stdout or to the file named by --out; reproduce also writes its three
-table files.  Exit codes: 0 on success, 1 on usage errors and on output
-paths that cannot be written, 2 when a computation rejects its input (the
-diagnostic names the violated precondition).
+table files.  An --out that names a directory or lies in a missing one is
+refused before any work.  Exit codes: 0 on success, 1 on usage errors and
+on output paths that cannot be written, 2 when a computation rejects its
+input (the diagnostic names the violated precondition).
 """
 
 from __future__ import annotations
 
 import argparse
+import errno
 import json
 import os
 import sys
@@ -55,6 +57,15 @@ def _header_lines(seed=None):
     if seed is not None:
         lines.append("# seed=%s" % seed)
     return lines
+
+
+def _check_out(path):
+    """Refuse an --out path that names a directory or lies in a missing
+    one, before any work: the error open() would raise after it."""
+    if os.path.isdir(path):
+        raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
+    if not os.path.isdir(os.path.dirname(path) or "."):
+        raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), path)
 
 
 def _emit(lines, out_path=None):
@@ -353,8 +364,11 @@ def build_parser():
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
+    out = getattr(args, "out", None)
     try:
-        _emit(args.fn(args), getattr(args, "out", None))
+        if out:
+            _check_out(out)
+        _emit(args.fn(args), out)
     except (ValueError, RuntimeError, OverflowError, ZeroDivisionError) as exc:
         print("braidwalk: computation error: %s" % exc, file=sys.stderr)
         return 2

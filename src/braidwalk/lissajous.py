@@ -87,18 +87,14 @@ def _q_word(q: int, p: int) -> BraidWord:
     return BraidWord(3, tuple(letters))
 
 
-def _p_word(q: int, p: int) -> BraidWord:
-    """First (q-1)/2 letters of Q: the half word whose Burau image classifies."""
-    full = _q_word(q, p)
-    return BraidWord(3, full.letters[: (q - 1) // 2])
+def _braid_of(qw: BraidWord) -> BraidWord:
+    """The quasipositive 3-braid (Q sigma_2 Q^-1) sigma_1 of the word Q."""
+    return BraidWord(3, qw.letters + (2,) + inverse(qw).letters + (1,))
 
 
 def lissajous_braid(q: int, p: int) -> BraidWord:
     """The quasipositive 3-braid (Q sigma_2 Q^-1) sigma_1 of the (q, p) knot."""
-    qw = _q_word(q, p)
-    s2 = BraidWord(3, (2,))
-    s1 = BraidWord(3, (1,))
-    return qw * s2 * inverse(qw) * s1
+    return _braid_of(_q_word(q, p))
 
 
 @dataclass(frozen=True)
@@ -128,12 +124,13 @@ def classify(q: int, p: int) -> LissajousClass:
     otherwise the matrix matches one of four small normal forms giving
     either a torus-knot family or a degenerate 3-component construction.
     """
-    pm = burau_minus1(_p_word(q, p))
-    qm = burau_minus1(_q_word(q, p))
-    if qm != mat_mul(pm, mat_transpose(pm)):
+    qw = _q_word(q, p)
+    # the half word P: the first (q-1)/2 letters of Q
+    pm = burau_minus1(BraidWord(3, qw.letters[: (q - 1) // 2]))
+    if burau_minus1(qw) != mat_mul(pm, mat_transpose(pm)):
         raise RuntimeError("half-word factorisation failed for (%d, %d)" % (q, p))
     a, b = pm[0]
-    braid_image = burau_minus1(lissajous_braid(q, p))
+    braid_image = burau_minus1(_braid_of(qw))
     trace = braid_image[0][0] + braid_image[1][1]
     if trace != 2 - (a * a + b * b) ** 2:
         raise RuntimeError("trace identity failed for (%d, %d)" % (q, p))
@@ -272,18 +269,18 @@ def _sin_sign(u: Fraction) -> int:
     return 1 if u < 1 else -1
 
 
-def braid_from_parametrization(q: int, p: int, alpha_over_pi=None, strands: int = 3) -> BraidWord:
+def braid_from_parametrization(q: int, p: int) -> BraidWord:
     """Read the 3-braid straight off the parametrised curve.
 
     Crossing angles are enumerated exactly; over/under at each crossing is
-    the sign of z_i - z_j = -2 sin(pi u + alpha) sin(pi p (i - j)/3) with
-    u = p(2m + 1)/(2q), also evaluated exactly for rational alpha/pi.  The
-    strand order is tracked through the sweep, with each event required to
-    swap adjacent strands.  A degenerate alpha (crossing at equal heights)
-    is retried with a perturbed value.
+    the sign of z_i - z_j = -2 sin(pi u) sin(pi p (i - j)/3) with
+    u = p(2m + 1)/(2q) + alpha/pi, evaluated exactly for the height shift
+    alpha/pi = 1/(4qp + 1).  No crossing sits at equal heights: for an
+    integer u, 1/(4qp + 1) = u - p(2m + 1)/(2q) would have a denominator
+    dividing 2q < 4qp + 1, and 3 divides neither p nor i - j.  The strand
+    order is tracked through the sweep, with each event required to swap
+    adjacent strands.
     """
-    if strands != 3:
-        raise ValueError("only the 3-strand sweep is implemented")
     # unlike the lambda route, the sweep does not need q odd, only the
     # crossing structure to be generic and the closure to be a knot
     if q < 1 or p < 1:
@@ -292,27 +289,12 @@ def braid_from_parametrization(q: int, p: int, alpha_over_pi=None, strands: int 
         raise ValueError("q and p must be prime to 3")
     if gcd(q, p) != 1:
         raise ValueError("q and p must be coprime")
-    if alpha_over_pi is None:
-        alpha_over_pi = Fraction(1, 4 * q * p + 1)
-    alpha_over_pi = Fraction(alpha_over_pi)
+    alpha = Fraction(1, 4 * q * p + 1)
 
     events = sorted(_crossing_events(q, p))
     angles = [e[0] for e in events]
     if len(set(angles)) != len(angles):
         raise RuntimeError("simultaneous crossings at gcd(q, 3) = 1?")
-
-    for attempt in range(8):
-        alpha = alpha_over_pi + Fraction(attempt, 16 * q * p + 9)
-        degenerate = False
-        for _, i, j, m in events:
-            u = Fraction(p * (2 * m + 1), 2 * q) + alpha
-            if _sin_sign(u) == 0:
-                degenerate = True
-                break
-        if not degenerate:
-            break
-    else:
-        raise RuntimeError("could not find a nondegenerate height shift")
 
     # initial left-to-right order, by radial coordinate just before the
     # first event (floats; events are well separated there)
@@ -339,7 +321,7 @@ def braid_from_parametrization(q: int, p: int, alpha_over_pi=None, strands: int 
         v = Fraction(p * (left - right), 3)
         z_left_minus_right = -_sin_sign(u) * _sin_sign(v)
         if z_left_minus_right == 0:
-            raise RuntimeError("degenerate crossing heights survived the retry")
+            raise RuntimeError("crossing at equal heights in (%d, %d)" % (q, p))
         letters.append((k + 1) * z_left_minus_right)
         order[k], order[k + 1] = order[k + 1], order[k]
     word = BraidWord(3, tuple(letters))

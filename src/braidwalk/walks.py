@@ -8,8 +8,11 @@ on an integer matrix group, and for odd n that group sits inside Sp(n-1, Z).
 Everything on the exact side is integer arithmetic: the law after k steps is
 a sorted int64 array of distinct matrices with integer numerators over a
 common power-of-denominator, so convolving and summing event probabilities
-is exact.  A vectorised Monte Carlo path, one sampled run recording every
-prefix, is a statistical cross-check for the same hitting probabilities.
+is exact.  hitting_series is its one entry point.  A vectorised Monte Carlo
+path, one sampled run recording every prefix, is a statistical cross-check
+for the same hitting probabilities.  Both refuse a step count k before any
+work when (largest row-sum norm of an atom image)^k >= 2^62, the bound
+beyond which an entry could leave int64.
 
 Walk predicates and entry polynomials work on stacked matrices: a
 predicate (PREDICATES) maps an (N, d, d) int64 array to N booleans and an
@@ -84,20 +87,6 @@ class GenMeasure:
         return cls(atoms)
 
 
-@dataclass(frozen=True)
-class WalkDistribution:
-    """Exact law of the walk after a fixed number of steps.
-
-    probs maps matrices (nested tuples) to Fractions summing to 1.
-    """
-
-    step: int
-    probs: dict
-
-    def total(self) -> Fraction:
-        return sum(self.probs.values(), Fraction(0))
-
-
 def _atom_images(mu: GenMeasure, rep) -> tuple[np.ndarray, list, int]:
     """Atom images as an (atoms, d, d) int64 array, and the atom weights as
     integer numerators over their common denominator."""
@@ -109,17 +98,23 @@ def _atom_images(mu: GenMeasure, rep) -> tuple[np.ndarray, list, int]:
     return mats, wnums, denom
 
 
-def _check_entry_bound(mats: np.ndarray, k: int) -> None:
-    """Refuse k when a product of k atom images could leave int64.
+def _walk_atoms(mu: GenMeasure, rep, k: int) -> tuple[np.ndarray, list, int]:
+    """_atom_images for a walk of k steps, after the checks that the exact DP
+    and Monte Carlo share: k >= 0, and k refused when a product of k atom
+    images could leave int64.
 
     (largest row-sum norm of an atom image)^k bounds every entry and every
     partial sum of such a product, so the check runs before any work.
     """
+    if k < 0:
+        raise ValueError("step count must be >= 0")
+    mats, wnums, denom = _atom_images(mu, rep)
     norm = int(np.abs(mats).sum(axis=2).max())
     if norm ** k >= 2 ** 62:
         raise ValueError(
             "entries may reach %d^%d >= 2^62, beyond int64 arithmetic" % (norm, k)
         )
+    return mats, wnums, denom
 
 
 def _merge(states: np.ndarray, counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -162,10 +157,7 @@ def _walk_laws(mu: GenMeasure, rep, kmax: int):
     denom^kmax < 2^63 and exact Python ints (object dtype) beyond; kmax is
     refused before any work when entries could leave int64.
     """
-    if kmax < 0:
-        raise ValueError("step count must be >= 0")
-    mats, wnums, denom = _atom_images(mu, rep)
-    _check_entry_bound(mats, kmax)
+    mats, wnums, denom = _walk_atoms(mu, rep, kmax)
     dtype = np.int64 if denom ** max(kmax, 1) < 2 ** 63 else object
     weights = np.array(wnums, dtype=dtype)
     d = mats.shape[1]
@@ -177,25 +169,6 @@ def _walk_laws(mu: GenMeasure, rep, kmax: int):
         counts = (counts[:, None] * weights).reshape(-1)
         states, counts = _merge(states, counts)
         yield states, counts, denom ** k
-
-
-def _matrices(states: np.ndarray) -> list:
-    """The (N, d, d) states as nested-tuple matrices of Python ints, built
-    column by column: one list per entry position, zipped into rows and then
-    into matrices."""
-    n, d, _ = states.shape
-    columns = states.reshape(n, -1).T.tolist()
-    return list(zip(*(zip(*columns[i:i + d]) for i in range(0, d * d, d))))
-
-
-def step_distribution(mu: GenMeasure, rep=burau_minus1, k: int = 1) -> WalkDistribution:
-    """Exact pushforward of the k-fold convolution of mu through rep."""
-    for states, counts, scale in _walk_laws(mu, rep, k):
-        pass
-    probs = {
-        m: Fraction(c, scale) for m, c in zip(_matrices(states), counts.tolist())
-    }
-    return WalkDistribution(step=k, probs=probs)
 
 
 # ---------------------------------------------------------------------------
@@ -274,23 +247,17 @@ def monte_carlo_hitting(
     the predicate after every step, so one run gives every prefix.  Entries
     of Burau images grow geometrically, so k is refused before sampling when
     (largest row-sum norm of an atom image)^k >= 2^62, the a priori bound on
-    every entry and partial sum of a k-fold product; k > 40 is refused
-    outright.  predicate is a name from PREDICATES or a function on stacked
-    states, as in hitting_series.
+    every entry and partial sum of a k-fold product, as in hitting_series.
+    predicate is a name from PREDICATES or a function on stacked states.
 
     Returns a dict with estimate, stderr, a 95% normal-approximation
     confidence interval, raw hit/trial counts, the seed, and hits_by_step:
     the hit counts after 0..k steps of the same sampled walks.
     """
-    if k > 40:
-        raise ValueError("k > 40 risks int64 overflow; use step_distribution")
-    if k < 0:
-        raise ValueError("step count must be >= 0")
     if trials <= 0:
         raise ValueError("trials must be positive")
     predicate = _checked(predicate)
-    mats, wnums, denom = _atom_images(mu, rep)
-    _check_entry_bound(mats, k)
+    mats, wnums, denom = _walk_atoms(mu, rep, k)
     d = mats.shape[1]
     weights = np.array(wnums, dtype=np.float64) / denom
     cum = np.cumsum(weights)

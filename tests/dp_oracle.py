@@ -13,7 +13,7 @@ from math import gcd
 
 from braidwalk.burau import burau_minus1
 from braidwalk.linalg import Matrix, identity, mat_mul
-from braidwalk.walks import GenMeasure, WalkDistribution
+from braidwalk.walks import GenMeasure
 
 # the named predicates of braidwalk.walks.PREDICATES, written for one
 # nested-tuple matrix
@@ -77,8 +77,9 @@ def _convolve_states(states: dict, images: list, d: int) -> dict:
     return new
 
 
-def step_distribution(mu: GenMeasure, rep=burau_minus1, k: int = 1) -> WalkDistribution:
-    """Exact pushforward of the k-fold convolution of mu through rep."""
+def step_distribution(mu: GenMeasure, rep=burau_minus1, k: int = 1) -> dict:
+    """Exact pushforward of the k-fold convolution of mu through rep, as
+    {nested-tuple matrix: Fraction}."""
     if k < 0:
         raise ValueError("step count must be >= 0")
     images, denom, d = _atom_images(mu, rep)
@@ -86,8 +87,7 @@ def step_distribution(mu: GenMeasure, rep=burau_minus1, k: int = 1) -> WalkDistr
     for _ in range(k):
         states = _convolve_states(states, images, d)
     scale = denom ** k
-    probs = {_unflatten(key, d): Fraction(num, scale) for key, num in states.items()}
-    return WalkDistribution(step=k, probs=probs)
+    return {_unflatten(key, d): Fraction(num, scale) for key, num in states.items()}
 
 
 def hitting_series(

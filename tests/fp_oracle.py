@@ -73,9 +73,8 @@ def finite_step_distribution(
     mu: GenMeasure, p: int, projective: bool = False, k: int = 1
 ) -> dict:
     """Law of the mod-p walk after k steps, as {FpMatrix: Fraction}."""
-    dist = step_distribution(mu, rep=symplectic_image, k=k)
     out: dict = {}
-    for m, prob in dist.probs.items():
+    for m, prob in step_distribution(mu, rep=symplectic_image, k=k).items():
         key = reduce_mod_p(m, p, projective)
         out[key] = out.get(key, Fraction(0)) + prob
     return out

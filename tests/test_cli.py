@@ -258,6 +258,33 @@ def test_unwritable_output_exits_1(capsys, tmp_path):
     assert a_file.read_text() == "kept\n"
 
 
+@pytest.mark.parametrize("argv,work", [
+    (("walk", "--exact", "--steps", "3"), "hitting_series"),
+    (("walk", "--steps", "3", "--trials", "10"), "monte_carlo_hitting"),
+    (("finite-walk", "--p", "3", "--steps", "4"), "finite_walk_tv"),
+    (("lissajous", "table", "--qmax", "13"), "percentage_table"),
+    (("lissajous", "sample", "--q", "3", "--p", "2"), "sample_polyline"),
+], ids=["walk-exact", "walk", "finite-walk", "lissajous-table", "lissajous-sample"])
+def test_unwritable_out_is_refused_before_work(capsys, monkeypatch, tmp_path, argv, work):
+    def no_work(*args, **kwargs):
+        raise AssertionError("the computation started")
+
+    monkeypatch.setattr(cli, work, no_work)
+    for bad in (tmp_path / "missing" / "x.csv", tmp_path):
+        rc, out, err = run(capsys, *argv, "--out", str(bad))
+        assert rc == 1 and out == ""
+        assert "braidwalk: cannot write output:" in err and str(bad) in err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_failed_computation_writes_no_out_file(capsys, tmp_path):
+    target = tmp_path / "x.csv"
+    rc, out, err = run(capsys, "walk", "--exact", "--strands", "5", "--steps", "40",
+                       "--out", str(target))
+    assert rc == 2 and "2^62" in err
+    assert not target.exists()
+
+
 def test_verify_oracle(capsys):
     rc, out, _ = run(capsys, "verify", "oracle", "--maxlen", "4")
     assert rc == 0

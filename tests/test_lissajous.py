@@ -193,8 +193,6 @@ def test_parametrization_validation():
         braid_from_parametrization(5, 10)  # not coprime
     with pytest.raises(ValueError):
         braid_from_parametrization(0, 1)
-    with pytest.raises(ValueError):
-        braid_from_parametrization(5, 2, strands=4)
 
 
 def test_sample_polyline():

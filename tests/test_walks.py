@@ -25,7 +25,6 @@ from braidwalk.walks import (
     predicate_z11,
     psp_order,
     sp_order,
-    step_distribution,
     zero_density,
 )
 
@@ -35,6 +34,21 @@ from fp_oracle import FpMatrix, finite_step_distribution, reduce_mod_p
 from linalg_oracle import det_laplace
 
 MU3 = GenMeasure.uniform_generators(3)
+
+
+def _law(mu, rep, k):
+    """The step-k law that _walk_laws yields, as {nested-tuple matrix:
+    Fraction}, after checking that its states are distinct and that its
+    counts sum to its scale."""
+    for states, counts, scale in _walk_laws(mu, rep, k):
+        pass
+    law = {
+        tuple(map(tuple, m)): Fraction(c, scale)
+        for m, c in zip(states.tolist(), counts.tolist())
+    }
+    assert len(law) == len(states)
+    assert sum(counts.tolist()) == scale
+    return law
 
 
 def test_measure_validation():
@@ -57,17 +71,16 @@ def test_uniform_generators():
     assert letters == [-2, -1, 1, 2]
 
 
-def test_step_distribution_anchors():
-    d0 = step_distribution(MU3, k=0)
-    assert d0.probs == {identity(2): Fraction(1)}
-    d1 = step_distribution(MU3, k=1)
-    assert len(d1.probs) == 4 and d1.total() == 1
-    d2 = step_distribution(MU3, k=2)
-    assert d2.total() == 1
+def test_walk_law_anchors():
+    assert _law(MU3, burau_minus1, 0) == {identity(2): Fraction(1)}
+    d1 = _law(MU3, burau_minus1, 1)
+    assert len(d1) == 4 and sum(d1.values()) == 1
+    d2 = _law(MU3, burau_minus1, 2)
+    assert sum(d2.values()) == 1
     # g then g^-1 for each of the four letters: mass 4/16 at the identity
-    assert d2.probs[identity(2)] == Fraction(1, 4)
+    assert d2[identity(2)] == Fraction(1, 4)
     with pytest.raises(ValueError):
-        step_distribution(MU3, k=-1)
+        next(_walk_laws(MU3, burau_minus1, -1))
 
 
 def test_hitting_series_anchors():
@@ -114,7 +127,7 @@ def test_monte_carlo_hits_by_step():
 
 def test_monte_carlo_validation():
     with pytest.raises(ValueError):
-        monte_carlo_hitting(MU3, "z11", 50, trials=10)
+        monte_carlo_hitting(MU3, "z11", 62, trials=10)  # 2^62 entry bound
     with pytest.raises(ValueError):
         monte_carlo_hitting(MU3, "z11", -1, trials=10)
     with pytest.raises(ValueError):
@@ -145,6 +158,20 @@ def test_monte_carlo_refuses_overflow_before_sampling(monkeypatch):
     # 5-strand images have row-sum norm 3 and 3^40 > 2^62
     with pytest.raises(ValueError, match="2\\^62"):
         monte_carlo_hitting(GenMeasure.uniform_generators(5), "z11", 40, trials=10)
+
+
+def test_dp_and_monte_carlo_share_the_entry_bound():
+    # 3-strand images have row-sum norm 2, so both take k up to 61
+    out = monte_carlo_hitting(MU3, "z11", 45, trials=200, seed=3)
+    assert len(out["hits_by_step"]) == 46 and out["hits"] == out["hits_by_step"][45]
+    assert len(monte_carlo_hitting(MU3, "z11", 61, trials=10)["hits_by_step"]) == 62
+    mu5 = GenMeasure.uniform_generators(5)
+    for call in (lambda: hitting_series(MU3, "z11", 62),
+                 lambda: monte_carlo_hitting(MU3, "z11", 62, trials=10),
+                 lambda: hitting_series(mu5, "z11", 40),
+                 lambda: monte_carlo_hitting(mu5, "z11", 40, trials=10)):
+        with pytest.raises(ValueError, match="2\\^62"):
+            call()
 
 
 def test_sp_orders():
@@ -244,9 +271,8 @@ def test_reduce_mod_p_multiplicative():
 
 def test_finite_step_distribution_is_pushforward():
     k = 4
-    exact = step_distribution(MU3, rep=symplectic_image, k=k)
     pushed: dict = {}
-    for m, prob in exact.probs.items():
+    for m, prob in _law(MU3, symplectic_image, k).items():
         key = reduce_mod_p(m, 5, projective=False)
         pushed[key] = pushed.get(key, Fraction(0)) + prob
     assert finite_step_distribution(MU3, 5, projective=False, k=k) == pushed
@@ -330,7 +356,7 @@ def test_walk_dp_matches_dict_oracle(strands, rep, skewed, predicate, data):
     assert hitting_series(mu, fast, kmax, rep=rep) == dp_oracle.hitting_series(
         mu, slow, kmax, rep=rep
     )
-    assert step_distribution(mu, rep, kmax) == dp_oracle.step_distribution(mu, rep, kmax)
+    assert _law(mu, rep, kmax) == dp_oracle.step_distribution(mu, rep, kmax)
 
 
 def test_walk_dp_object_counts_beyond_int64():
@@ -343,8 +369,7 @@ def test_walk_dp_object_counts_beyond_int64():
     assert [law[1].dtype for law in _walk_laws(mu, burau_minus1, 2)] == [object] * 3
     for fast, slow in (("z11", "z11"), M22_NEGATIVE):
         assert hitting_series(mu, fast, 6) == dp_oracle.hitting_series(mu, slow, 6)
-    assert step_distribution(mu, k=6) == dp_oracle.step_distribution(mu, k=6)
-    assert step_distribution(mu, k=6).total() == 1
+    assert _law(mu, burau_minus1, 6) == dp_oracle.step_distribution(mu, k=6)
 
 
 def test_walk_dp_refuses_entry_overflow_before_work():
@@ -353,8 +378,6 @@ def test_walk_dp_refuses_entry_overflow_before_work():
     # 5-strand images have row-sum norm 3 and 3^40 > 2^62
     with pytest.raises(ValueError, match="2\\^62"):
         hitting_series(mu5, "z11", 40)
-    with pytest.raises(ValueError, match="2\\^62"):
-        step_distribution(mu5, k=40)
     assert time.monotonic() - start < 1.0
     assert len(hitting_series(mu5, "z11", 1)) == 2  # 3^1 is fine
 
@@ -362,7 +385,8 @@ def test_walk_dp_refuses_entry_overflow_before_work():
 @given(st.integers(min_value=0, max_value=5))
 @settings(max_examples=10, deadline=None)
 def test_distribution_total_is_one(k):
-    assert step_distribution(MU3, k=k).total() == 1
+    for states, counts, scale in _walk_laws(MU3, burau_minus1, k):
+        assert sum(counts.tolist()) == scale
 
 
 @given(st.integers(min_value=3, max_value=5), st.integers(min_value=0, max_value=4))
