@@ -6,16 +6,23 @@ mu-distributed letters; pushing it forward through burau_minus1 gives a walk
 on an integer matrix group, and for odd n that group sits inside Sp(n-1, Z).
 
 Everything on the exact side is integer arithmetic: the law after k steps is
-a sorted int64 array of distinct matrices with integer numerators over a
+a sorted int64 array of distinct states with integer numerators over a
 common power-of-denominator, so convolving and summing event probabilities
-is exact.  hitting_series is its one entry point.  A vectorised Monte Carlo
-path, one sampled run recording every prefix, is a statistical cross-check
-for the same hitting probabilities.  Both refuse a step count k before any
-work when (largest row-sum norm of an atom image)^k >= 2^62, the bound
-beyond which an entry could leave int64.
+is exact.  One walk kernel (_laws) steps a start block: the identity gives
+the law of the matrix, a unit row vector the law of one row.
+hitting_series is the one exact entry point.  A predicate that reads one
+entry m_ij takes the meet-in-the-middle path: m_ij(X_{a+b}) is the dot
+product of a row of X_a with a column of an independent copy of X_b, so two
+vector laws of about half the length replace the matrix law.  Every other
+predicate takes the matrix DP, which is also the entry path's oracle.  A
+vectorised Monte Carlo path, one sampled run recording every prefix, is a
+statistical cross-check for the same hitting probabilities.  All of them
+refuse a step count k before any work when (largest row-sum norm of an
+atom image)^k >= 2^62, the bound beyond which an entry could leave int64.
 
 Walk predicates and entry polynomials work on stacked matrices: a
-predicate (PREDICATES) maps an (N, d, d) int64 array to N booleans and an
+predicate (PREDICATES) maps an (N, d, d) int64 array to N booleans (an
+entry predicate also carries its entry and its test on entries) and an
 entry polynomial (ENTRY_POLYNOMIALS) maps the element array to N integers,
 so each runs once per array, never once per matrix.
 
@@ -76,6 +83,8 @@ class GenMeasure:
     @classmethod
     def uniform_generators(cls, strands: int) -> "GenMeasure":
         """Uniform measure on the 2(strands-1) generators and inverses."""
+        if strands < 2:
+            raise ValueError("need at least 2 strands, got %d" % strands)
         letters = []
         for i in range(1, strands):
             letters.append(i)
@@ -147,37 +156,65 @@ def _merge(states: np.ndarray, counts: np.ndarray) -> tuple[np.ndarray, np.ndarr
     return states[order[starts]], np.add.reduceat(counts[order], starts)
 
 
-def _walk_laws(mu: GenMeasure, rep, kmax: int):
-    """Exact laws of the walk at steps k = 0..kmax.
+def _count_dtype(denom: int, k: int):
+    """int64 while denom^k < 2^63, exact Python ints (object dtype) beyond."""
+    return np.int64 if denom ** max(k, 1) < 2 ** 63 else object
 
-    Yields (states, counts, scale) per step: the distinct (N, d, d) int64
-    matrices in lexicographic order and their counts, which sum to
+
+def _laws(mats: np.ndarray, weights: np.ndarray, denom: int, kmax: int, start: np.ndarray):
+    """The walk kernel: exact laws of start @ (product of k atom images) for
+    k = 0..kmax, from an (m, d) int64 start block.
+
+    Yields (states, counts, scale) per step: the distinct (N, m, d) int64
+    blocks in lexicographic order and their counts, which sum to
     scale = denom^k.  One step is a batched matmul of every state with every
-    atom image, then a sort and a segment sum.  Counts are int64 while
-    denom^kmax < 2^63 and exact Python ints (object dtype) beyond; kmax is
-    refused before any work when entries could leave int64.
+    atom image, then a sort and a segment sum.  Counts take the dtype of
+    weights, so the caller sizes them for the whole walk.
     """
-    mats, wnums, denom = _walk_atoms(mu, rep, kmax)
-    dtype = np.int64 if denom ** max(kmax, 1) < 2 ** 63 else object
-    weights = np.array(wnums, dtype=dtype)
-    d = mats.shape[1]
-    states = np.eye(d, dtype=np.int64)[None]
-    counts = np.ones(1, dtype=dtype)
+    m, d = start.shape
+    states = start[None]
+    counts = np.ones(1, dtype=weights.dtype)
     yield states, counts, 1
     for k in range(1, kmax + 1):
-        states = (states[:, None] @ mats[None]).reshape(-1, d, d)
+        states = (states[:, None] @ mats[None]).reshape(-1, m, d)
         counts = (counts[:, None] * weights).reshape(-1)
         states, counts = _merge(states, counts)
         yield states, counts, denom ** k
+
+
+def _walk_laws(mu: GenMeasure, rep, kmax: int):
+    """Exact laws of the matrix walk at steps k = 0..kmax: _laws from the
+    identity, with counts int64 while denom^kmax < 2^63 and Python ints
+    beyond; kmax is refused before any work when entries could leave int64.
+    """
+    mats, wnums, denom = _walk_atoms(mu, rep, kmax)
+    weights = np.array(wnums, dtype=_count_dtype(denom, kmax))
+    return _laws(mats, weights, denom, kmax, np.eye(mats.shape[1], dtype=np.int64))
 
 
 # ---------------------------------------------------------------------------
 # hitting probabilities
 
 
-def predicate_z11(states: np.ndarray) -> np.ndarray:
-    """|top-left entry| > 2: the walk left the recurrent-looking band."""
-    return np.abs(states[:, 0, 0]) > 2
+def _entry_predicate(entry: tuple[int, int], test):
+    """The predicate test(m_ij) on stacked states, for entry = (i, j).
+
+    It carries entry and test as attributes, so hitting_series can read the
+    one entry by meet in the middle; as a function it runs wherever any
+    other predicate does.  test maps an int64 array of entries to booleans
+    of the same shape.
+    """
+    i, j = entry
+
+    def predicate(states: np.ndarray) -> np.ndarray:
+        return test(states[:, i, j])
+
+    predicate.entry, predicate.test = entry, test
+    return predicate
+
+
+# |top-left entry| > 2: the walk left the recurrent-looking band
+predicate_z11 = _entry_predicate((0, 0), lambda values: np.abs(values) > 2)
 
 
 def predicate_all_entries_big(states: np.ndarray) -> np.ndarray:
@@ -188,6 +225,15 @@ def predicate_all_entries_big(states: np.ndarray) -> np.ndarray:
 PREDICATES = {"z11": predicate_z11, "all-entries": predicate_all_entries_big}
 
 
+def _named(predicate):
+    """predicate, or the function PREDICATES names by it."""
+    if isinstance(predicate, str):
+        if predicate not in PREDICATES:
+            raise ValueError("unknown predicate %r" % predicate)
+        return PREDICATES[predicate]
+    return predicate
+
+
 def _checked(predicate):
     """predicate, a name from PREDICATES or a function from an (N, d, d)
     int64 array to N booleans, as a function that refuses any other result.
@@ -196,10 +242,7 @@ def _checked(predicate):
     array but answers about one matrix's rows, and summing that answer would
     give a wrong count, so the shape and dtype are checked on every call.
     """
-    if isinstance(predicate, str):
-        if predicate not in PREDICATES:
-            raise ValueError("unknown predicate %r" % predicate)
-        predicate = PREDICATES[predicate]
+    predicate = _named(predicate)
 
     def hits(states: np.ndarray) -> np.ndarray:
         hit = np.asarray(predicate(states))
@@ -213,14 +256,62 @@ def _checked(predicate):
     return hits
 
 
+_PAIR_BLOCK = 1 << 22
+"""Most (row, column) pairs the entry path tests at once; a block holds
+their int64 entries and boolean hits."""
+
+
+def _entry_series(mu: GenMeasure, rep, kmax: int, entry, test) -> list[Fraction]:
+    """P(test(m_ij(X_k))) for k = 0..kmax by meet in the middle.
+
+    m_ij(X_{a+b}) = row_i(X_a) . col_j(Y_b), where Y_b is the product of the
+    next b steps: independent of X_a and distributed as X_b.  The row laws
+    start from e_i; the column laws are the row walk of the transposed atom
+    images from e_j.  Step k pairs the row law at a = k // 2 with the column
+    law at b = k - a and sums count(r) count(c) over the pairs that hit.
+    The prologue's bound on (row-sum norm)^kmax covers every dot product
+    and its partial sums, and the counts are sized for denom^kmax, the
+    largest weighted pair sum.
+    """
+    mats, wnums, denom = _walk_atoms(mu, rep, kmax)
+    weights = np.array(wnums, dtype=_count_dtype(denom, kmax))
+    eye = np.eye(mats.shape[1], dtype=np.int64)
+    i, j = entry
+    half = kmax // 2
+    rows = list(_laws(mats, weights, denom, half, eye[[i]]))
+    cols = list(_laws(mats.transpose(0, 2, 1), weights, denom, kmax - half, eye[[j]]))
+    series = []
+    for k in range(kmax + 1):
+        (r, r_counts, r_scale), (c, c_counts, c_scale) = rows[k // 2], cols[k - k // 2]
+        r, c = r[:, 0], c[:, 0].T
+        step = max(1, _PAIR_BLOCK // c.shape[1])
+        hits = 0
+        for lo in range(0, len(r), step):
+            values = r[lo:lo + step] @ c
+            hit = np.asarray(test(values))
+            if hit.dtype != bool or hit.shape != values.shape:
+                raise ValueError(
+                    "an entry test must map an array of entries to booleans of its "
+                    "shape; it gave %s of shape %s for %s" % (hit.dtype, hit.shape, values.shape)
+                )
+            hits += r_counts[lo:lo + step] @ (hit @ c_counts)
+        series.append(Fraction(int(hits), r_scale * c_scale))
+    return series
+
+
 def hitting_series(
     mu: GenMeasure, predicate, kmax: int, rep=burau_minus1
 ) -> list[Fraction]:
     """Exact values of P(predicate holds at step k) for k = 0..kmax.
 
-    One DP pass; predicate (a name from PREDICATES or a function on stacked
-    states) runs once per step on that step's distinct states.
+    predicate is a name from PREDICATES or a function on stacked states.  A
+    predicate that reads one entry (one built by _entry_predicate, such as
+    predicate_z11) takes the meet-in-the-middle path, _entry_series; any
+    other runs once per step on the distinct matrices of the matrix DP.
     """
+    predicate = _named(predicate)
+    if hasattr(predicate, "entry"):
+        return _entry_series(mu, rep, kmax, predicate.entry, predicate.test)
     predicate = _checked(predicate)
     return [
         Fraction(int(counts[predicate(states)].sum()), scale)

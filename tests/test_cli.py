@@ -102,6 +102,18 @@ def test_walk_exact_refuses_entry_overflow(capsys):
 
 
 @pytest.mark.parametrize("argv", [
+    ("walk", "--exact", "--steps", "3"),
+    ("walk", "--steps", "3", "--trials", "10"),
+    ("finite-walk", "--p", "3", "--steps", "2"),
+], ids=["walk-exact", "walk-monte-carlo", "finite-walk"])
+@pytest.mark.parametrize("strands", ["1", "0"])
+def test_walk_refuses_fewer_than_two_strands(capsys, argv, strands):
+    rc, out, err = run(capsys, *argv, "--strands", strands)
+    assert rc == 2 and out == ""
+    assert err == "braidwalk: computation error: need at least 2 strands, got %s\n" % strands
+
+
+@pytest.mark.parametrize("argv", [
     ("walk", "--measure", "uniform4"),
     ("burau", "--word", "1", "--strands", "3", "--at", "-1"),
     ("lissajous", "sample", "--q", "3", "--p", "2", "--N", "3"),

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from braidwalk import walks
 from braidwalk.braid import BraidWord
 from braidwalk.burau import burau_minus1, symplectic_image
 from braidwalk.linalg import identity
@@ -18,6 +19,7 @@ from braidwalk.walks import (
     enumerate_sl2,
     enumerate_sp4,
     finite_walk_tv,
+    _entry_predicate,
     _walk_laws,
     hitting_series,
     monte_carlo_hitting,
@@ -69,6 +71,12 @@ def test_uniform_generators():
     assert all(weight == Fraction(1, 4) for _, weight in MU3.atoms)
     letters = sorted(word.letters[0] for word, _ in MU3.atoms)
     assert letters == [-2, -1, 1, 2]
+
+
+@pytest.mark.parametrize("strands", [1, 0, -3])
+def test_uniform_generators_refuses_fewer_than_two_strands(strands):
+    with pytest.raises(ValueError, match="^need at least 2 strands, got %d$" % strands):
+        GenMeasure.uniform_generators(strands)
 
 
 def test_walk_law_anchors():
@@ -372,6 +380,19 @@ def test_walk_dp_object_counts_beyond_int64():
     assert _law(mu, burau_minus1, 6) == dp_oracle.step_distribution(mu, k=6)
 
 
+def test_entry_path_object_counts_beyond_int64_at_full_length():
+    # denom = 2^20: at kmax = 4 the half-length laws (denom^2 = 2^40) fit
+    # int64 but the pair sums (denom^4 = 2^80) do not, so the counts must
+    # follow denom^kmax
+    tiny = Fraction(1, 2 ** 20)
+    letters = (1, 2, -1, -2)
+    weights = (tiny, Fraction(1, 4), Fraction(1, 4), Fraction(1, 2) - tiny)
+    mu = GenMeasure(tuple((BraidWord(3, (g,)), w) for g, w in zip(letters, weights)))
+    assert hitting_series(mu, "z11", 4)[4] == Fraction(274879479805, 2 ** 42)
+    for kmax in range(7):
+        assert hitting_series(mu, "z11", kmax) == dp_oracle.hitting_series(mu, "z11", kmax)
+
+
 def test_walk_dp_refuses_entry_overflow_before_work():
     mu5 = GenMeasure.uniform_generators(5)
     start = time.monotonic()
@@ -396,3 +417,70 @@ def test_hitting_series_in_unit_interval(strands, kmax):
     rep = symplectic_image if strands % 2 == 0 else burau_minus1
     for value in hitting_series(mu, lambda s: s[:, 0, 0] != 1, kmax, rep=rep):
         assert 0 <= value <= 1
+
+
+# entry tests: an int64 array of entries to booleans of the same shape
+ENTRY_TESTS = [lambda v: np.abs(v) > 2, lambda v: v == 0, lambda v: v < 0]
+
+
+def _entry_pair(i, j, test):
+    """The entry predicate test(m_ij) and a plain function with the same
+    answers, which hitting_series can only run through the matrix DP."""
+    return _entry_predicate((i, j), test), lambda s: test(s[:, i, j])
+
+
+@given(
+    st.sampled_from([3, 4, 5]),
+    st.sampled_from([burau_minus1, symplectic_image]),
+    st.booleans(),
+    st.sampled_from(ENTRY_TESTS),
+    st.data(),
+)
+@example(3, burau_minus1, True, ENTRY_TESTS[0], None)
+@example(3, burau_minus1, True, ENTRY_TESTS[2], None)
+@example(4, burau_minus1, False, ENTRY_TESTS[1], None)
+@example(5, symplectic_image, True, ENTRY_TESTS[0], None)
+@settings(max_examples=25, deadline=None)
+def test_entry_path_matches_matrix_dp(strands, rep, skewed, test, data):
+    mu = _skewed(strands) if skewed else GenMeasure.uniform_generators(strands)
+    d = len(rep(BraidWord(strands, (1,))))
+    kmax = ORACLE_KMAX[strands]
+    entries = [(i, j) for i in range(d) for j in range(d)]
+    if data is not None:
+        kmax = data.draw(st.integers(min_value=0, max_value=kmax))
+        entries = [data.draw(st.sampled_from(entries))]
+    for i, j in entries:
+        entry, plain = _entry_pair(i, j, test)
+        assert hitting_series(mu, entry, kmax, rep=rep) == hitting_series(
+            mu, plain, kmax, rep=rep
+        ), (i, j)
+
+
+def test_z11_entry_path_matches_matrix_dp_to_16_steps():
+    entry, plain = _entry_pair(0, 0, ENTRY_TESTS[0])
+    series = hitting_series(MU3, "z11", 16)
+    assert series == hitting_series(MU3, entry, 16) == hitting_series(MU3, plain, 16)
+    assert series[:13] == hitting_series(MU3, "z11", 12)
+
+
+@pytest.mark.parametrize("test", [
+    lambda v: np.abs(v),
+    lambda v: (np.abs(v) > 2).ravel(),
+    lambda v: bool((np.abs(v) > 2).any()),
+    lambda v: (np.abs(v) > 2)[:, :1],
+], ids=["not-bool", "flat", "scalar", "one-column"])
+def test_entry_test_must_give_bools_of_the_block_shape(test):
+    with pytest.raises(ValueError, match="an entry test must map"):
+        hitting_series(MU3, _entry_predicate((0, 0), test), 4)
+
+
+def test_both_paths_refuse_entry_overflow_before_work(monkeypatch):
+    def no_work(*args, **kwargs):
+        raise AssertionError("the walk started")
+
+    monkeypatch.setattr(walks, "_laws", no_work)
+    mu5 = GenMeasure.uniform_generators(5)
+    # 5-strand images have row-sum norm 3 and 3^40 > 2^62
+    for predicate in _entry_pair(1, 2, ENTRY_TESTS[0]) + ("z11", "all-entries"):
+        with pytest.raises(ValueError, match="2\\^62"):
+            hitting_series(mu5, predicate, 40)
