@@ -2,17 +2,18 @@
 
 Matrices are tuples of row tuples.  mat_mul and its relatives take any ring
 entries (python ints, Fractions, LaurentPoly).  The two kernels of the
-n-strand invariants stay in integers: det_ring is fraction-free Bareiss
-elimination over Z or Z[t, 1/t], and form_signature is integer symmetric
-elimination with gcd reduction.  rref is the one elimination over Q, with
-Fractions; mat_inverse (and so mat_pow with a negative exponent) is built
-on it.  No floating point anywhere.
+n-strand invariants stay in integers and are fraction-free: det_ring is
+Bareiss elimination over Z or Z[t, 1/t], and form_signature is sparse
+symmetric elimination with 1x1 and 2x2 pivots on dicts of nonzero entries.
+Both divide only through _divide_exact, which refuses a remainder.  rref
+is the one elimination over Q, with Fractions; mat_inverse (and so mat_pow
+with a negative exponent) is built on it.  No floating point anywhere.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from itertools import chain, compress
 from typing import Sequence
 
 Matrix = tuple[tuple, ...]
@@ -65,7 +66,7 @@ def _divide_exact(x, y):
     if isinstance(x, int):
         q, r = divmod(x, y)
         if r:
-            raise ArithmeticError("inexact division in det_ring")
+            raise ArithmeticError("inexact division")
         return q
     return x.divide_exact(y)
 
@@ -143,51 +144,89 @@ def rref(rows: Sequence[Sequence]) -> tuple[list[list[Fraction]], list[int]]:
     return m[:r], pivots
 
 
+def _rescaled(rows: list, stamps: list[int], i: int, det: int) -> dict:
+    """Row i brought to the scale det: its entries were bordered minors
+    over the pivot block whose determinant was stamps[i], and a row that no
+    pivot touched since then only changed by the factor det / stamps[i]."""
+    row, stamp = rows[i], stamps[i]
+    if stamp != det:
+        row = rows[i] = {j: _divide_exact(v * det, stamp) for j, v in row.items()}
+        stamps[i] = det
+    return row
+
+
 def form_signature(gram: Matrix) -> int:
     """Signature (#positive - #negative eigenvalues) of a symmetric integer
-    matrix (python ints), exactly, by integer symmetric elimination.
+    matrix (python ints), exactly, by sparse fraction-free symmetric
+    elimination (Bareiss, Math. Comp. 22 (1968)) with 1x1 and 2x2 pivots
+    (Bunch-Kaufman, Math. Comp. 31 (1977)).
 
-    A nonzero diagonal pivot p adds sgn(p) and turns the rest of the block
-    into p S[i][j] - S[i][k] S[k][j], which is p times the Schur complement;
-    since sig(p X) = sgn(p) sig(X), the block is then divided by g sgn(p),
-    g the gcd of its entries, which keeps the entries small.  When the whole
-    diagonal is zero but S[i][j] != 0, the congruence e_i <- e_i + e_j makes
-    the pivot S[i][i] = 2 S[i][j].  Raises ValueError on a non-square,
-    non-symmetric or non-integer matrix.
+    Row i is a dict of its nonzero entries M[i][j], j >= i, and rows are
+    eliminated in index order.  With D the determinant of the pivot block
+    taken so far, every entry is a bordered minor, D times the Schur
+    complement (Sylvester's identity), and only the pivot's neighbours N
+    change:
+
+    * a nonzero diagonal p is a 1x1 pivot; it adds sgn(p D), and with u
+      its row, M[i][l] <- (p M[i][l] - u_i u_l) / D, then D <- p;
+    * a zero diagonal with M[k][j] = b != 0, j the smallest such, is a 2x2
+      pivot on (k, j) with det = -b^2 < 0, so it adds 0, and with x, y the
+      rows of k and j and c = M[j][j],
+      M[i][l] <- (-b^2 M[i][l] - c x_i x_l + b (x_i y_l + y_i x_l)) / D^2,
+      then D <- -b^2 / D;
+    * a zero row is dropped.
+
+    A row outside N only changes by D_now / D_stamp, which is applied when
+    it is next read.  Every division is exact, and an inexact one raises
+    ArithmeticError.  Banded input (the Seifert oracle's loops in start
+    order) stays banded, so the cost is about d w^2 for bandwidth w.
+    Raises ValueError on a non-square, non-symmetric or non-integer matrix.
     """
     d = len(gram)
     if any(len(row) != d for row in gram):
         raise ValueError("form_signature needs a square matrix")
-    m = [list(row) for row in gram]
-    if not all(isinstance(x, int) for row in m for x in row):
+    if not all(issubclass(t, int) for t in set(map(type, chain.from_iterable(gram)))):
         raise ValueError("form_signature needs integer entries")
-    if list(map(list, zip(*m))) != m:
+    if list(zip(*gram)) != list(map(tuple, gram)):
         raise ValueError("form_signature needs a symmetric matrix")
-    sig = 0
-    while m:
-        k = next((i for i, row in enumerate(m) if row[i]), None)
-        if k is None:
-            pair = next(((i, j) for i, row in enumerate(m) for j, x in enumerate(row) if x), None)
-            if pair is None:
-                break  # remaining block is zero
-            k, j = pair
-            m[k] = [x + y for x, y in zip(m[k], m[j])]
-            for row in m:
-                row[k] += row[j]
-        rowk = m.pop(k)
-        p = rowk.pop(k)
-        sig += 1 if p > 0 else -1
-        for row in m:
-            f = row.pop(k)
-            if f:
-                row[:] = [p * x - f * y for x, y in zip(row, rowk)]
-            elif p != 1:
-                row[:] = [p * x for x in row]
-        g = gcd(*[gcd(*row) for row in m])
-        if not g:
-            break  # remaining block is zero
-        if p < 0:
-            g = -g
-        if g != 1:
-            m = [[x // g for x in row] for row in m]
+    rows = [dict(compress(enumerate(row[i:], i), row[i:])) for i, row in enumerate(gram)]
+    stamps = [1] * d
+    det, sig = 1, 0
+    for k in range(d):
+        if rows[k] is None:
+            continue  # the second row of a 2x2 pivot
+        x = _rescaled(rows, stamps, k, det)
+        p = x.pop(k, 0)
+        if p:
+            sig += 1 if (p > 0) == (det > 0) else -1
+            # the 2x2 update below with c = 1 and b = y = 0
+            y, c, b, scale, divisor, new_det = {}, 1, 0, p, det, p
+        elif x:
+            j = min(x)
+            b = x.pop(j)
+            # column j above its diagonal lies in the rows between k and j
+            y = {i: _rescaled(rows, stamps, i, det).pop(j) for i in range(k + 1, j)
+                 if rows[i] is not None and j in rows[i]}
+            y.update(_rescaled(rows, stamps, j, det))
+            rows[j] = None
+            c = y.pop(j, 0)
+            scale, divisor = -b * b, det * det
+            new_det = _divide_exact(scale, det)
+        else:
+            continue  # a zero row
+        near = x.keys() | y.keys()
+        for i in near:
+            xi, yi = x.get(i, 0), y.get(i, 0)
+            row = _rescaled(rows, stamps, i, det)
+            new = {}
+            for l in row.keys() | near:
+                if l < i:
+                    continue  # kept in row l
+                xl, yl = x.get(l, 0), y.get(l, 0)
+                v = scale * row.get(l, 0) - c * xi * xl + b * (xi * yl + yi * xl)
+                if v:
+                    new[l] = _divide_exact(v, divisor)
+            rows[i] = new
+            stamps[i] = new_det
+        det = new_det
     return sig

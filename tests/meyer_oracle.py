@@ -8,6 +8,11 @@ image_basis, span_contains, subspace_intersection and solve_particular are
 the Fraction subspace functions the route needs, built on
 braidwalk.linalg.rref.  They are the route braidwalk.meyer used before its
 closed form; the tests compare the two.
+
+seifert_matrix_by_pair is the Seifert matrix with its loops grouped by
+strand pair, the construction braidwalk.meyer used before it numbered the
+loops by start position; pair_sorted_loops gives its loop order, so the
+tests can check that the two matrices agree up to that permutation.
 """
 
 from __future__ import annotations
@@ -15,8 +20,9 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Sequence
 
+from braidwalk.braid import BraidWord
 from braidwalk.linalg import Matrix, Vector, identity, mat_sub, rref
-from braidwalk.meyer import _check_sl2
+from braidwalk.meyer import _CROSS_AHEAD, _CROSS_BEHIND, _check_sl2
 
 
 def kernel_basis(a: Matrix) -> list[Vector]:
@@ -134,3 +140,45 @@ def meyer_gram(g1: Matrix, g2: Matrix) -> tuple[list[Vector], Matrix]:
         for a in range(d)
     )
     return basis, gram
+
+
+def pair_sorted_loops(word: BraidWord) -> list[tuple[int, int, int]]:
+    """(pair, start position, end position) of every Seifert loop, grouped
+    by strand pair and then by start."""
+    positions: dict[int, list[int]] = {}
+    for pos, g in enumerate(word.letters):
+        positions.setdefault(abs(g), []).append(pos)
+    loops = []
+    for pair in sorted(positions):
+        occ = positions[pair]
+        for a, b in zip(occ, occ[1:]):
+            loops.append((pair, a, b))
+    return loops
+
+
+def seifert_matrix_by_pair(word: BraidWord) -> Matrix:
+    """Integer Seifert matrix V for the closure of the word, loops in the
+    order of pair_sorted_loops, every pair of loops compared."""
+    signs = [1 if g > 0 else -1 for g in word.letters]
+    loops = pair_sorted_loops(word)
+    d = len(loops)
+    v = [[0] * d for _ in range(d)]
+    for x, (pair_x, a1, a2) in enumerate(loops):
+        v[x][x] = -(signs[a1] + signs[a2]) // 2
+        for y in range(x + 1, d):
+            pair_y, b1, b2 = loops[y]
+            if pair_y == pair_x:
+                if b1 == a2:  # consecutive loops share the middle crossing
+                    if signs[a2] > 0:
+                        v[x][y] = 1
+                    else:
+                        v[y][x] = -1
+            elif abs(pair_y - pair_x) == 1:
+                lo, hi = (x, y) if pair_x < pair_y else (y, x)
+                _, s1, s2 = loops[lo]
+                _, t1, t2 = loops[hi]
+                if s1 < t1 < s2 < t2:
+                    v[lo][hi] = _CROSS_AHEAD
+                elif t1 < s1 < t2 < s2:
+                    v[lo][hi] = _CROSS_BEHIND
+    return tuple(tuple(row) for row in v)

@@ -1,13 +1,17 @@
 """End-to-end checks of the braidwalk command line interface."""
 
 import json
+import random
 import time
 from fractions import Fraction
 
 import pytest
 
 from braidwalk import cli, walks
+from braidwalk.braid import BraidWord
+from braidwalk.linalg import form_signature
 from braidwalk.walks import GenMeasure, monte_carlo_hitting
+from meyer_oracle import seifert_matrix_by_pair
 
 
 def run(capsys, *argv):
@@ -49,6 +53,25 @@ def test_signature_recursion_and_oracle(capsys):
     # the cocycle recursion is only wired for 3 strands
     rc, _, err = run(capsys, "signature", "--word", "1 1 1", "--strands", "2")
     assert rc == 2 and "computation error" in err
+
+
+def test_signature_oracle_on_a_300_letter_6_strand_word(capsys):
+    # against the pair-sorted Seifert matrix, eliminated in its own order;
+    # -1 is also what the dense gcd elimination of version 0.1.0 gave
+    rng = random.Random(6)
+    letters = []
+    while len(letters) < 300:
+        g = rng.randrange(1, 6) * rng.choice((1, -1))
+        if not letters or letters[-1] != -g:
+            letters.append(g)
+    v = seifert_matrix_by_pair(BraidWord(6, tuple(letters)))
+    expected = form_signature(tuple(
+        tuple(v[i][j] + v[j][i] for j in range(len(v))) for i in range(len(v))))
+    assert len(v) == 295 and expected == -1
+    for sign in (1, -1):  # the mirror negates the signature
+        word = " ".join(str(sign * g) for g in letters)
+        rc, out, _ = run(capsys, "signature", "--word", word, "--strands", "6", "--oracle")
+        assert rc == 0 and out.strip() == str(sign * expected)
 
 
 def test_meyer(capsys):

@@ -151,7 +151,7 @@ def test_signature_congruence_invariant(m, shears):
 
 
 @st.composite
-def symmetric_int_matrices(draw, max_dim=9, lo=-5, hi=5):
+def symmetric_int_matrices(draw, max_dim=10, lo=-5, hi=5):
     """Symmetric integer matrices: full, low rank (B^T D B) or with the
     diagonal zeroed."""
     d = draw(st.integers(min_value=0, max_value=max_dim))
@@ -176,6 +176,51 @@ def symmetric_int_matrices(draw, max_dim=9, lo=-5, hi=5):
 @settings(max_examples=400, deadline=None)
 @given(symmetric_int_matrices())
 def test_form_signature_matches_fraction_oracle(m):
+    assert form_signature(m) == form_signature_fraction(m)
+
+
+@st.composite
+def banded_symmetric(draw, max_dim=12):
+    """Banded symmetric matrices with mostly zero diagonals (2x2 pivots),
+    zeroed rows, and a tail of rows that are combinations of earlier ones
+    (singular tails): B^T M B with B = [I | C], C banded."""
+    d = draw(st.integers(min_value=1, max_value=max_dim))
+    width = draw(st.integers(min_value=1, max_value=3))
+    m = [[0] * d for _ in range(d)]
+    for i in range(d):
+        if draw(st.integers(0, 3)) == 0:
+            m[i][i] = draw(st.integers(-3, 3))
+        for j in range(i + 1, min(i + width + 1, d)):
+            m[i][j] = m[j][i] = draw(st.integers(-3, 3))
+    for i in draw(st.sets(st.integers(0, d - 1), max_size=d // 3)):
+        for j in range(d):
+            m[i][j] = m[j][i] = 0
+    tail = draw(st.integers(min_value=0, max_value=3))
+    # column t of C combines the last `width` rows of the head
+    b = [[int(i == j) for j in range(d)] + [0] * tail for i in range(d)]
+    for t in range(tail):
+        for i in range(max(0, d - width), d):
+            b[i][d + t] = draw(st.integers(-2, 2))
+    bt = mat_transpose(tuple(map(tuple, b)))
+    return mat_mul(bt, mat_mul(tuple(map(tuple, m)), tuple(map(tuple, b))))
+
+
+@settings(max_examples=400, deadline=None)
+@given(banded_symmetric())
+def test_sparse_kernel_on_banded_zero_diagonal_matrices(m):
+    assert form_signature(m) == form_signature_fraction(m)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(symmetric_int_matrices(max_dim=8, lo=-2 ** 40, hi=2 ** 40),
+                 banded_symmetric(max_dim=8).map(
+                     lambda m: tuple(tuple(x * 2 ** 38 for x in row) for row in m)),
+                 st.integers(0, 6).flatmap(
+                     lambda d: st.lists(st.integers(-2 ** 40, 2 ** 40), min_size=d, max_size=d))
+                 .map(lambda v: tuple(tuple(a * b for b in v) for a in v))))
+def test_sparse_kernel_on_big_entries(m):
+    # full or zero-diagonal, scaled banded and rank one v v^T: exact
+    # big-int divisions
     assert form_signature(m) == form_signature_fraction(m)
 
 

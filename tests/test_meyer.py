@@ -21,7 +21,12 @@ from braidwalk.meyer import (
     seifert_signature_oracle,
 )
 from linalg_oracle import form_signature_fraction
-from meyer_oracle import meyer_gram, meyer_space
+from meyer_oracle import (
+    meyer_gram,
+    meyer_space,
+    pair_sorted_loops,
+    seifert_matrix_by_pair,
+)
 
 S1 = ((1, 0), (-1, 1))
 S2 = ((1, 1), (0, 1))
@@ -140,6 +145,56 @@ def test_seifert_oracle_on_other_strand_counts():
     assert seifert_signature_oracle(BraidWord(4, (1, 2, 3))) == 0  # unknot
     assert seifert_signature_oracle(BraidWord(4, (1, 1, 2, 2, 3, 3))) == -3
     assert seifert_signature_oracle(BraidWord(3, ())) == 0
+
+
+def reduced_words(strands, length, seed):
+    """Seeded freely reduced word of exactly `length` letters."""
+    rng = random.Random(seed)
+    letters = []
+    while len(letters) < length:
+        g = rng.randrange(1, strands) * rng.choice((1, -1))
+        if not letters or letters[-1] != -g:
+            letters.append(g)
+    return BraidWord(strands, tuple(letters))
+
+
+@st.composite
+def words_on_2_to_6_strands(draw, max_size=24):
+    n = draw(st.integers(min_value=2, max_value=6))
+    gens = [g for i in range(1, n) for g in (i, -i)]
+    return BraidWord(n, tuple(draw(st.lists(st.sampled_from(gens), max_size=max_size))))
+
+
+@settings(max_examples=300, deadline=None)
+@given(words_on_2_to_6_strands())
+def test_start_ordered_seifert_matrix_is_pair_sorted_one_permuted(w):
+    # loop x of the pair-sorted matrix is loop rank(start_x) by start position
+    old = seifert_matrix_by_pair(w)
+    starts = [a for _, a, _ in pair_sorted_loops(w)]
+    rank = {a: r for r, a in enumerate(sorted(starts))}
+    perm = [rank[a] for a in starts]
+    new = seifert_matrix(w)
+    assert len(new) == len(old)
+    assert all(new[perm[x]][perm[y]] == old[x][y]
+               for x in range(len(old)) for y in range(len(old)))
+
+
+def _bandwidth(v):
+    return max((abs(i - j) for i, row in enumerate(v) for j, x in enumerate(row) if x),
+               default=0)
+
+
+def test_start_ordered_seifert_matrix_is_banded():
+    # a loop meets only loops that start before it ends
+    for seed in range(5):
+        w = reduced_words(3, 100, seed)
+        assert _bandwidth(seifert_matrix(w)) <= 10 < 40 <= _bandwidth(seifert_matrix_by_pair(w))
+
+
+def test_seifert_oracle_reaches_length_400():
+    for seed in range(4):
+        w = reduced_words(3, 400, seed)
+        assert seifert_signature_oracle(w) == gg_signature(w).value
 
 
 @settings(max_examples=150, deadline=None)
