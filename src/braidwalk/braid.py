@@ -11,32 +11,48 @@ rho(ab) = rho(a) rho(b).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import index
 
 
-def _free_reduce(letters: tuple[int, ...]) -> tuple[int, ...]:
+def _free_reduce(letters, strands: int) -> tuple[int, ...]:
+    """The freely reduced word, every letter taken through operator.index
+    and checked to lie in 1..strands-1 in absolute value, in one pass."""
     stack: list[int] = []
-    for g in letters:
-        if stack and stack[-1] == -g:
+    top = 0  # stack[-1], or 0 on an empty stack, which no letter cancels
+    for g in map(index, letters):
+        if not 0 < abs(g) < strands:
+            raise ValueError(f"letter {g} out of range for B({strands})")
+        if g == -top:
             stack.pop()
+            top = stack[-1] if stack else 0
         else:
             stack.append(g)
+            top = g
     return tuple(stack)
 
 
 @dataclass(frozen=True)
 class BraidWord:
-    """Freely reduced braid word in B(strands)."""
+    """Freely reduced braid word in B(strands).
+
+    The strand count and the letters are taken through operator.index, so
+    numpy integers become ints and a float, Fraction or string is refused
+    with ValueError.
+    """
 
     strands: int
     letters: tuple[int, ...] = field(default=())
 
     def __post_init__(self) -> None:
-        if self.strands < 2:
-            raise ValueError(f"need at least 2 strands, got {self.strands}")
-        for g in self.letters:
-            if g == 0 or abs(g) >= self.strands:
-                raise ValueError(f"letter {g} out of range for B({self.strands})")
-        object.__setattr__(self, "letters", _free_reduce(tuple(self.letters)))
+        try:
+            strands = index(self.strands)
+            if strands < 2:
+                raise ValueError(f"need at least 2 strands, got {strands}")
+            letters = _free_reduce(self.letters, strands)
+        except TypeError as exc:
+            raise ValueError(f"strand count and letters must be integers: {exc}") from None
+        object.__setattr__(self, "strands", strands)
+        object.__setattr__(self, "letters", letters)
 
     def __len__(self) -> int:
         return len(self.letters)
@@ -96,15 +112,13 @@ def permutation(w: BraidWord) -> tuple[int, ...]:
     Composition is left-to-right, so permutation(a*b)[i] applies a first;
     this matches the representation convention rho(ab) = rho(a) rho(b).
     """
-    img = list(range(w.strands))
+    at = list(range(w.strands))  # at[p]: the strand now at position p
     for g in w.letters:
         i = abs(g) - 1
-        # transposition of positions i, i+1 applied after what we have
-        for s in range(w.strands):
-            if img[s] == i:
-                img[s] = i + 1
-            elif img[s] == i + 1:
-                img[s] = i
+        at[i], at[i + 1] = at[i + 1], at[i]
+    img = [0] * w.strands
+    for p, s in enumerate(at):
+        img[s] = p
     return tuple(img)
 
 

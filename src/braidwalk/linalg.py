@@ -3,11 +3,14 @@
 Matrices are tuples of row tuples.  mat_mul and its relatives take any ring
 entries (python ints, Fractions, LaurentPoly).  The two kernels of the
 n-strand invariants stay in integers and are fraction-free: det_ring is
-Bareiss elimination over Z or Z[t, 1/t], and form_signature is sparse
+Bareiss elimination over Z or Z[t, 1/t], and row_signature is sparse
 symmetric elimination with 1x1 and 2x2 pivots on dicts of nonzero entries.
-Both divide only through _divide_exact, which refuses a remainder.  rref
-is the one elimination over Q, with Fractions; mat_inverse (and so mat_pow
-with a negative exponent) is built on it.  No floating point anywhere.
+form_signature is its dense entry: it checks a tuple matrix and hands over
+the upper triangle; the Seifert oracle builds its rows itself and never
+forms a dense matrix.  Both kernels divide only through _divide_exact,
+which refuses a remainder.  rref is the one elimination over Q, with
+Fractions; mat_inverse (and so mat_pow with a negative exponent) is built
+on it.  No floating point anywhere.
 """
 
 from __future__ import annotations
@@ -157,15 +160,32 @@ def _rescaled(rows: list, stamps: list[int], i: int, det: int) -> dict:
 
 def form_signature(gram: Matrix) -> int:
     """Signature (#positive - #negative eigenvalues) of a symmetric integer
-    matrix (python ints), exactly, by sparse fraction-free symmetric
-    elimination (Bareiss, Math. Comp. 22 (1968)) with 1x1 and 2x2 pivots
-    (Bunch-Kaufman, Math. Comp. 31 (1977)).
+    matrix (python ints), exactly: its upper triangle as row dicts, handed
+    to row_signature.  Raises ValueError on a non-square, non-symmetric or
+    non-integer matrix.
+    """
+    d = len(gram)
+    if any(len(row) != d for row in gram):
+        raise ValueError("form_signature needs a square matrix")
+    if not all(issubclass(t, int) for t in set(map(type, chain.from_iterable(gram)))):
+        raise ValueError("form_signature needs integer entries")
+    if list(zip(*gram)) != list(map(tuple, gram)):
+        raise ValueError("form_signature needs a symmetric matrix")
+    return row_signature([dict(compress(enumerate(row[i:], i), row[i:]))
+                          for i, row in enumerate(gram)])
 
-    Row i is a dict of its nonzero entries M[i][j], j >= i, and rows are
-    eliminated in index order.  With D the determinant of the pivot block
-    taken so far, every entry is a bordered minor, D times the Schur
-    complement (Sylvester's identity), and only the pivot's neighbours N
-    change:
+
+def row_signature(rows: list[dict[int, int]]) -> int:
+    """Signature of the symmetric integer matrix M whose upper triangle is
+    rows: rows[i] maps each j >= i with M[i][j] != 0 to that int.  The
+    rows are consumed.  The elimination is sparse fraction-free symmetric
+    elimination (Bareiss, Math. Comp. 22 (1968)) with 1x1 and 2x2 pivots
+    (Bunch-Kaufman, Math. Comp. 31 (1977)); the input is not checked.
+
+    Rows are eliminated in index order.  With D the determinant of the
+    pivot block taken so far, every entry is a bordered minor, D times the
+    Schur complement (Sylvester's identity), and only the pivot's
+    neighbours N change:
 
     * a nonzero diagonal p is a 1x1 pivot; it adds sgn(p D), and with u
       its row, M[i][l] <- (p M[i][l] - u_i u_l) / D, then D <- p;
@@ -180,16 +200,8 @@ def form_signature(gram: Matrix) -> int:
     it is next read.  Every division is exact, and an inexact one raises
     ArithmeticError.  Banded input (the Seifert oracle's loops in start
     order) stays banded, so the cost is about d w^2 for bandwidth w.
-    Raises ValueError on a non-square, non-symmetric or non-integer matrix.
     """
-    d = len(gram)
-    if any(len(row) != d for row in gram):
-        raise ValueError("form_signature needs a square matrix")
-    if not all(issubclass(t, int) for t in set(map(type, chain.from_iterable(gram)))):
-        raise ValueError("form_signature needs integer entries")
-    if list(zip(*gram)) != list(map(tuple, gram)):
-        raise ValueError("form_signature needs a symmetric matrix")
-    rows = [dict(compress(enumerate(row[i:], i), row[i:])) for i, row in enumerate(gram)]
+    d = len(rows)
     stamps = [1] * d
     det, sig = 1, 0
     for k in range(d):

@@ -23,15 +23,18 @@ The generic route, the signature of the Meyer form on
 Im(g1^{-1} - I) cap Im(g2 - I), is the reference the closed form is
 tested against; it lives in tests/meyer_oracle.py.
 
-seifert_signature_oracle is the independent check: it builds an explicit
-Seifert matrix for the closure of any braid word (disks = strands, bands =
-crossings, loops between consecutive crossings on the same strand pair)
-and takes the signature of V + V^T.  The loops are numbered by start
+seifert_signature_oracle is the independent check: it takes the signature
+of V + V^T for an explicit Seifert matrix V of the closure of any braid
+word (disks = strands, bands = crossings, loops between consecutive
+crossings on the same strand pair).  The loops are numbered by start
 position, which makes V banded (5 to 7 wide on seeded 100-letter
-3-braids, against 51 to 57 when the loops are grouped by strand pair), and
-form_signature eliminates it sparsely in that order, so the elimination
-costs about linear time in the word length.  The pair-grouped
-construction is kept in tests/meyer_oracle.py as the reference.
+3-braids, against 51 to 57 when the loops are grouped by strand pair).
+One scan of the loops lists the nonzero entries of V; the oracle folds
+them into the upper-triangular rows of V + V^T and hands those to
+linalg.row_signature, which eliminates them sparsely in that order, so no
+d x d matrix is ever formed.  seifert_matrix densifies the same entries.
+The pair-grouped construction is kept in tests/meyer_oracle.py as the
+reference.
 
 Signs follow the convention that positive links have negative signature
 (trefoil -> -2); the oracle agrees with the recursion on every word we
@@ -41,11 +44,10 @@ test.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import add
 
 from .braid import BraidWord, closure_components, writhe
 from .burau import burau_minus1
-from .linalg import Matrix, form_signature, identity, mat_mul
+from .linalg import Matrix, identity, mat_mul, row_signature
 
 
 def _check_sl2(m: Matrix, name: str) -> None:
@@ -161,47 +163,67 @@ _CROSS_AHEAD = 1   # loop on pair i starts first:  a1 < b1 < a2 < b2
 _CROSS_BEHIND = -1  # loop on pair i+1 starts first: b1 < a1 < b2 < a2
 
 
-def seifert_matrix(word: BraidWord) -> Matrix:
-    """Integer Seifert matrix V for the closure of the word, with loop x the
-    x-th loop by start position.
+def _seifert_entries(word: BraidWord) -> tuple[int, list[tuple[int, int, int]]]:
+    """The number d of loops and the nonzero entries (x, y, V[x][y]) of the
+    integer Seifert matrix V of the closure, loop x the x-th loop by start
+    position.
 
     Loop x runs from crossing a1 to the next crossing a2 on its strand pair.
     The scan for its partners stops at the first loop that starts after a2,
     so the bandwidth is the number of loops that start inside one loop.
+    For x != y at most one of V[x][y] and V[y][x] is listed.
     """
-    signs = [1 if g > 0 else -1 for g in word.letters]
+    letters = word.letters
     last: dict[int, int] = {}
     loops = []  # (start position, end position, pair), sorted by start
-    for pos, g in enumerate(word.letters):
-        if abs(g) in last:
-            loops.append((last[abs(g)], pos, abs(g)))
-        last[abs(g)] = pos
+    for pos, g in enumerate(letters):
+        pair = abs(g)
+        if pair in last:
+            loops.append((last[pair], pos, pair))
+        last[pair] = pos
     loops.sort()
     d = len(loops)
-    v = [[0] * d for _ in range(d)]
+    entries = []
     for x, (a1, a2, pair_x) in enumerate(loops):
-        v[x][x] = -(signs[a1] + signs[a2]) // 2
+        positive = letters[a2] > 0
+        if (letters[a1] > 0) == positive:  # -(sgn a1 + sgn a2) / 2
+            entries.append((x, x, -1 if positive else 1))
         for y in range(x + 1, d):
             b1, b2, pair_y = loops[y]
             if b1 > a2:
                 break
             if b1 == a2:  # consecutive loops share the middle crossing
-                if signs[a2] > 0:
-                    v[x][y] = 1
-                else:
-                    v[y][x] = -1
+                entries.append((x, y, 1) if positive else (y, x, -1))
             elif b2 > a2 and abs(pair_y - pair_x) == 1:  # a1 < b1 < a2 < b2
-                if pair_x < pair_y:
-                    v[x][y] = _CROSS_AHEAD
-                else:
-                    v[y][x] = _CROSS_BEHIND
-    return tuple(tuple(row) for row in v)
+                entries.append((x, y, _CROSS_AHEAD) if pair_x < pair_y
+                               else (y, x, _CROSS_BEHIND))
+    return d, entries
+
+
+def seifert_matrix(word: BraidWord) -> Matrix:
+    """Integer Seifert matrix V for the closure of the word, with loop x the
+    x-th loop by start position: the entries of _seifert_entries, densified."""
+    d, entries = _seifert_entries(word)
+    v = [[0] * d for _ in range(d)]
+    for x, y, value in entries:
+        v[x][y] = value
+    return tuple(map(tuple, v))
 
 
 def seifert_signature_oracle(word: BraidWord) -> int:
-    """Link signature of the closure from the explicit Seifert matrix."""
-    v = seifert_matrix(word)
-    return form_signature(tuple(tuple(map(add, row, col)) for row, col in zip(v, zip(*v))))
+    """Link signature of the closure: the signature of V + V^T, built as
+    upper-triangular rows straight from the Seifert entries.  The diagonal
+    is 2 V[x][x]; off it, V[x][y] + V[y][x] is the one entry listed."""
+    d, entries = _seifert_entries(word)
+    rows: list[dict[int, int]] = [{} for _ in range(d)]
+    for x, y, value in entries:
+        if x < y:
+            rows[x][y] = value
+        elif x > y:
+            rows[y][x] = value
+        else:
+            rows[x][x] = 2 * value
+    return row_signature(rows)
 
 
 def check_big_entries(word: BraidWord) -> bool:

@@ -1,5 +1,8 @@
 """Braid word container: validation, free reduction, group operations."""
 
+from fractions import Fraction
+
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -35,6 +38,27 @@ def test_validation():
     with pytest.raises(ValueError):
         BraidWord(3, (-3,))
     BraidWord(2, (1, 1, 1))  # fine
+
+
+@pytest.mark.parametrize("strands, letters", [
+    (3, (1.5, 1.5, 1.5)),
+    (3, (1.0,)),
+    (3, (1, Fraction(2), -1)),
+    (3, (Fraction(1, 2),)),
+    (3.0, (1,)),
+    (Fraction(3), (1,)),
+    (3, ("1",)),
+])
+def test_non_integer_letters_and_strands_are_refused(strands, letters):
+    with pytest.raises(ValueError, match="must be integers"):
+        BraidWord(strands, letters)
+
+
+def test_numpy_integers_become_ints():
+    w = BraidWord(np.int64(4), (np.int64(1), np.int32(-3), np.int8(2), 2))
+    assert w == BraidWord(4, (1, -3, 2, 2))
+    assert type(w.strands) is int
+    assert all(type(g) is int for g in w.letters)
 
 
 def test_free_reduction():
@@ -89,6 +113,23 @@ def test_writhe_and_conjugate():
 def test_inverse_cancels(w):
     assert (w * inverse(w)).letters == ()
     assert (inverse(w) * w).letters == ()
+
+
+@st.composite
+def words_on_2_to_8_strands(draw):
+    n = draw(st.integers(min_value=2, max_value=8))
+    return draw(words(strands=n, max_size=30))
+
+
+@given(words_on_2_to_8_strands())
+def test_permutation_composes_transpositions(w):
+    # letter +-i swaps positions i-1 and i, applied after the letters before it
+    img = tuple(range(w.strands))
+    for g in w.letters:
+        i = abs(g) - 1
+        swap = {i: i + 1, i + 1: i}
+        img = tuple(swap.get(p, p) for p in img)
+    assert permutation(w) == img
 
 
 @given(words(), words())

@@ -3,13 +3,14 @@
 import random
 from fractions import Fraction
 from math import gcd
+from operator import add
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from braidwalk.braid import BraidWord, closure_components
 from braidwalk.burau import burau_minus1
-from braidwalk.linalg import mat_mul, mat_pow
+from braidwalk.linalg import form_signature, mat_mul, mat_pow
 from braidwalk.meyer import (
     check_big_entries,
     gg_signature,
@@ -194,6 +195,27 @@ def test_start_ordered_seifert_matrix_is_banded():
 def test_seifert_oracle_reaches_length_400():
     for seed in range(4):
         w = reduced_words(3, 400, seed)
+        assert seifert_signature_oracle(w) == gg_signature(w).value
+
+
+def _symmetrised(v):
+    return tuple(tuple(map(add, row, col)) for row, col in zip(v, zip(*v)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(words_on_2_to_6_strands(max_size=40))
+def test_sparse_row_oracle_matches_dense_forms(w):
+    # the oracle never forms V + V^T; these routes do, in both loop orders
+    by_pair = _symmetrised(seifert_matrix_by_pair(w))
+    sig = seifert_signature_oracle(w)
+    assert sig == form_signature(_symmetrised(seifert_matrix(w)))
+    assert sig == form_signature(by_pair)
+    assert sig == form_signature_fraction(by_pair)
+
+
+def test_seifert_oracle_reaches_length_1600():
+    for seed in range(3):
+        w = reduced_words(3, 1600, seed)
         assert seifert_signature_oracle(w) == gg_signature(w).value
 
 
