@@ -63,10 +63,9 @@ class BraidWord:
     def __pow__(self, n: int) -> "BraidWord":
         if n < 0:
             return inverse(self) ** (-n)
-        w = BraidWord(self.strands)
-        for _ in range(n):
-            w = concat(w, self)
-        return w
+        # free reduction is confluent: reducing the n-fold letters once
+        # gives the word that n successive concatenations would
+        return BraidWord(self.strands, self.letters * n)
 
 
 def parse_word(text: str, strands: int) -> BraidWord:

@@ -53,9 +53,26 @@ def burau_minus1(word: BraidWord) -> Matrix:
     At t = -1, sigma_i^s (s = +-1, r = m - i) is the transvection
     I + s e_r (e_{r+1} - e_{r-1})^T, so multiplying by it on the right
     changes two columns only: col[r-1] -= s col[r] and col[r+1] += s col[r].
-    The word is applied to the identity as these column operations, on
-    any strand count.
+    The word is applied to the identity as these column operations; on 3
+    strands the image ((a, b), (c, d)) is four ints, sigma_1^s sets
+    a -= s b, c -= s d and sigma_2^s sets b += s a, d += s c.
     """
+    if word.strands == 3:
+        a, b, c, d = 1, 0, 0, 1
+        for g in word.letters:
+            if g == 1:
+                a -= b
+                c -= d
+            elif g == -1:
+                a += b
+                c += d
+            elif g == 2:
+                b += a
+                d += c
+            else:
+                b -= a
+                d -= c
+        return ((a, b), (c, d))
     m = word.strands - 1
     cols = [[int(i == j) for i in range(m)] for j in range(m)]
     for g in word.letters:

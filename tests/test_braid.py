@@ -77,6 +77,19 @@ def test_mul_pow_inverse():
     assert (w ** -2).letters == (inverse(w) ** 2).letters
 
 
+@given(
+    st.one_of(words(), st.just(BraidWord(3, (1, 2, -1))), st.just(BraidWord(3, (2, 1, 2)))),
+    st.integers(min_value=-4, max_value=6),
+)
+def test_pow_matches_iterated_concat(w, n):
+    # (1, 2, -1) cancels across the join: its square is (1, 2, 2, -1)
+    base = w if n >= 0 else inverse(w)
+    expected = BraidWord(3)
+    for _ in range(abs(n)):
+        expected = concat(expected, base)
+    assert (w ** n).letters == expected.letters
+
+
 def test_parse_format_roundtrip():
     w = parse_word("1 -2 2 1", 3)
     assert w.letters == (1, 1)

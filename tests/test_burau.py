@@ -131,14 +131,79 @@ def test_symplectic_image_dispatch():
     assert symplectic_image(BraidWord(4, (1,))) == ((1, 1), (0, 1))
 
 
+def _minus1_product(w):
+    """Burau matrix at t = -1 as the mat_mul product of the generator images."""
+    n = w.strands
+    out = identity(n - 1)
+    for g in w.letters:
+        out = mat_mul(out, burau_generator_minus1(n, abs(g), inverse=g < 0))
+    return out
+
+
+def _is_int_matrix(m):
+    return type(m) is tuple and all(
+        type(row) is tuple and all(type(x) is int for x in row) for row in m
+    )
+
+
 @settings(max_examples=200)
 @given(st.integers(min_value=2, max_value=9).flatmap(lambda n: words(n, 16)))
 def test_minus1_column_operations_match_generator_product(w):
-    n = w.strands
-    expected = identity(n - 1)
-    for g in w.letters:
-        expected = mat_mul(expected, burau_generator_minus1(n, abs(g), inverse=g < 0))
-    assert burau_minus1(w) == expected
+    assert burau_minus1(w) == _minus1_product(w)
+
+
+@st.composite
+def long_3_strand_words(draw):
+    """3-braids of up to 300 letters, mixing single letters with runs of
+    sigma_1 sigma_2^-1, whose image entries grow like Fibonacci numbers."""
+    chunks = draw(st.lists(
+        st.one_of(
+            st.sampled_from([(1,), (-1,), (2,), (-2,)]),
+            st.integers(min_value=1, max_value=150).map(lambda k: (1, -2) * k),
+        ),
+        max_size=60,
+    ))
+    return BraidWord(3, tuple(g for chunk in chunks for g in chunk)[:300])
+
+
+@settings(max_examples=200, deadline=None)
+@given(long_3_strand_words())
+def test_3_strand_kernel_matches_generator_product(w):
+    got = burau_minus1(w)
+    assert got == _minus1_product(w)
+    assert _is_int_matrix(got)
+
+
+def test_3_strand_kernel_anchors():
+    anchors = {
+        (1,): ((1, 0), (-1, 1)),
+        (-1,): ((1, 0), (1, 1)),
+        (2,): ((1, 1), (0, 1)),
+        (-2,): ((1, -1), (0, 1)),
+    }
+    for letters, image in anchors.items():
+        w = BraidWord(3, letters)
+        assert burau_minus1(w) == image == _minus1_product(w)
+    # the full twist Delta^2 = (sigma_1 sigma_2)^3 maps to -I
+    assert burau_minus1(BraidWord(3, (1, 2) * 3)) == ((-1, 0), (0, -1))
+    assert burau_minus1(BraidWord(3, (1, 2, 1))) == burau_minus1(BraidWord(3, (2, 1, 2)))
+    # (sigma_1 sigma_2^-1)^k = ((F(2k-1), -F(2k)), (-F(2k), F(2k+1)))
+    fib = [0, 1]
+    while len(fib) < 302:
+        fib.append(fib[-1] + fib[-2])
+    k = 150
+    got = burau_minus1(BraidWord(3, (1, -2) * k))
+    assert got == ((fib[2 * k - 1], -fib[2 * k]), (-fib[2 * k], fib[2 * k + 1]))
+    assert fib[2 * k] > 2**200
+    assert _is_int_matrix(got)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from([2, 4]).flatmap(lambda n: words(n, 40)))
+def test_2_and_4_strand_words_keep_the_column_path(w):
+    got = burau_minus1(w)
+    assert got == _minus1_product(w)
+    assert _is_int_matrix(got)
 
 
 def _generator_product(w):

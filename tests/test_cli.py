@@ -4,6 +4,7 @@ import json
 import random
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -254,6 +255,17 @@ def test_reproduce_idempotent(capsys, tmp_path):
     assert rc == 0
     for name, blob in first.items():
         assert (out_dir / name).read_bytes() == blob
+
+
+def test_reproduce_matches_committed_tables(capsys, tmp_path):
+    committed = Path(__file__).resolve().parents[1] / "tables"
+    rc, out, _ = run(capsys, "reproduce", "paper-tables", "--out-dir", str(tmp_path))
+    assert rc == 0
+    names = ("walk_z11_table.csv", "lissajous_table_literal.csv",
+             "lissajous_table_full_range.csv")
+    assert sorted(json.loads(out)["written"]) == sorted(str(tmp_path / n) for n in names)
+    for name in names:
+        assert (tmp_path / name).read_bytes() == (committed / name).read_bytes(), name
 
 
 def test_reproduce_unknown_target_is_usage_error(capsys, tmp_path):
