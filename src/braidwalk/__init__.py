@@ -34,7 +34,6 @@ from .meyer import (
     is_hyperbolic,
     meyer_cocycle,
     power_signatures,
-    seifert_matrix,
     seifert_signature_oracle,
 )
 from .walks import (
@@ -89,7 +88,6 @@ __all__ = [
     "psp_order",
     "radical_vector",
     "sample_polyline",
-    "seifert_matrix",
     "seifert_signature_oracle",
     "sp_order",
     "symplectic_image",

@@ -17,6 +17,11 @@ Classification goes through the Burau image at t = -1 of the half word P:
 its top row decides whether every power of the braid has zero signature
 (hyperbolic case), whether the closure family is a torus-knot family, or
 whether the underlying construction degenerates to a 3-component link.
+The words are assembled as letter tuples (Q^-1 is Q reversed and
+negated), so classify builds three BraidWords: P, Q and the full braid.
+
+The census (percentage_table) applies one family test in both modes; the
+modes differ only in which p in (q, 2q] they keep and in the denominator.
 """
 
 from __future__ import annotations
@@ -25,7 +30,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import cos, gcd, pi, sin
 
-from .braid import BraidWord, closure_components, inverse
+from .braid import BraidWord, closure_components
 from .burau import burau_minus1
 from .linalg import mat_mul, mat_transpose
 from .meyer import power_signatures
@@ -76,25 +81,22 @@ def lambda_seq(q: int, p: int) -> tuple:
     return tuple(-1 if (2 * a * p * k) // q % 2 else 1 for k in range(1, q))
 
 
-def _q_word(q: int, p: int) -> BraidWord:
-    """Alternating word Q: letter k is sigma_2 for odd k, sigma_1 for even k,
-    raised to lambda(k)."""
+def _q_word(q: int, p: int) -> tuple[int, ...]:
+    """Letters of the alternating word Q: letter k is sigma_2 for odd k,
+    sigma_1 for even k, raised to lambda(k)."""
     lam = lambda_seq(q, p)
-    letters = []
-    for k in range(1, q):
-        idx = 2 if k % 2 == 1 else 1
-        letters.append(idx * lam[k - 1])
-    return BraidWord(3, tuple(letters))
+    return tuple((2 if k % 2 else 1) * lam[k - 1] for k in range(1, q))
 
 
-def _braid_of(qw: BraidWord) -> BraidWord:
-    """The quasipositive 3-braid (Q sigma_2 Q^-1) sigma_1 of the word Q."""
-    return BraidWord(3, qw.letters + (2,) + inverse(qw).letters + (1,))
+def _braid_of(qw: tuple[int, ...]) -> tuple[int, ...]:
+    """Letters of the quasipositive 3-braid (Q sigma_2 Q^-1) sigma_1 of the
+    letters of Q."""
+    return qw + (2,) + tuple(-g for g in reversed(qw)) + (1,)
 
 
 def lissajous_braid(q: int, p: int) -> BraidWord:
     """The quasipositive 3-braid (Q sigma_2 Q^-1) sigma_1 of the (q, p) knot."""
-    return _braid_of(_q_word(q, p))
+    return BraidWord(3, _braid_of(_q_word(q, p)))
 
 
 @dataclass(frozen=True)
@@ -126,11 +128,11 @@ def classify(q: int, p: int) -> LissajousClass:
     """
     qw = _q_word(q, p)
     # the half word P: the first (q-1)/2 letters of Q
-    pm = burau_minus1(BraidWord(3, qw.letters[: (q - 1) // 2]))
-    if burau_minus1(qw) != mat_mul(pm, mat_transpose(pm)):
+    pm = burau_minus1(BraidWord(3, qw[: (q - 1) // 2]))
+    if burau_minus1(BraidWord(3, qw)) != mat_mul(pm, mat_transpose(pm)):
         raise RuntimeError("half-word factorisation failed for (%d, %d)" % (q, p))
     a, b = pm[0]
-    braid_image = burau_minus1(_braid_of(qw))
+    braid_image = burau_minus1(BraidWord(3, _braid_of(qw)))
     trace = braid_image[0][0] + braid_image[1][1]
     if trace != 2 - (a * a + b * b) ** 2:
         raise RuntimeError("trace identity failed for (%d, %d)" % (q, p))
@@ -184,12 +186,11 @@ def _family_all_zero(q: int, p: int) -> bool:
 def percentage_table(qs=None, mode: str = "literal") -> list:
     """Share of zero-signature frequencies p in (q, 2q] for each q.
 
-    mode "literal": p ranges over odd integers prime to 3 and coprime to q;
-    the numerator counts pairs the trichotomy sorts as zero-signature.
-
-    mode "full-range": the denominator is all q integers in (q, 2q]; the
-    numerator counts p prime to 3 whose whole family (after reducing by
-    gcd) has zero signature, which adds the even and non-coprime columns.
+    Both modes count the p prime to 3 whose whole family (after reducing
+    by gcd) has zero signature.  Mode "literal" keeps only the odd p
+    coprime to q, where that test is classify(q, p).kind == ZERO_SIG, and
+    divides by their number.  Mode "full-range" divides by all q integers
+    in (q, 2q], which adds the even and non-coprime columns.
 
     Rows are dicts with q, numerator, denominator, fraction and the percent
     rounded down to an integer.
@@ -202,22 +203,13 @@ def percentage_table(qs=None, mode: str = "literal") -> list:
     for q in qs:
         if q % 2 == 0 or q % 3 == 0:
             raise ValueError("table q values must be odd and prime to 3")
-        num = 0
+        cands = [p for p in range(q + 1, 2 * q + 1) if p % 3 != 0]
         if mode == "literal":
-            cands = [
-                p
-                for p in range(q + 1, 2 * q + 1)
-                if p % 2 == 1 and p % 3 != 0 and gcd(p, q) == 1
-            ]
+            cands = [p for p in cands if p % 2 == 1 and gcd(p, q) == 1]
             den = len(cands)
-            for p in cands:
-                if classify(q, p).kind == ZERO_SIG:
-                    num += 1
         else:
             den = q
-            for p in range(q + 1, 2 * q + 1):
-                if p % 3 != 0 and _family_all_zero(q, p):
-                    num += 1
+        num = sum(_family_all_zero(q, p) for p in cands)
         frac = Fraction(num, den) if den else Fraction(0)
         rows.append(
             {

@@ -32,9 +32,9 @@ position, which makes V banded (5 to 7 wide on seeded 100-letter
 One scan of the loops lists the nonzero entries of V; the oracle folds
 them into the upper-triangular rows of V + V^T and hands those to
 linalg.row_signature, which eliminates them sparsely in that order, so no
-d x d matrix is ever formed.  seifert_matrix densifies the same entries.
-The pair-grouped construction is kept in tests/meyer_oracle.py as the
-reference.
+d x d matrix is ever formed.  The dense matrix of the same entries and the
+pair-grouped construction it is checked against live in
+tests/meyer_oracle.py.
 
 Signs follow the convention that positive links have negative signature
 (trefoil -> -2); the oracle agrees with the recursion on every word we
@@ -45,7 +45,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .braid import BraidWord, closure_components, writhe
+from .braid import BraidWord, writhe
 from .burau import burau_minus1
 from .linalg import Matrix, identity, mat_mul, row_signature
 
@@ -117,18 +117,15 @@ def _check_three_strands(word: BraidWord) -> None:
 
 @dataclass(frozen=True)
 class SignatureResult:
-    """Signature of a braid closure plus basic context."""
+    """Signature of a braid closure."""
 
     value: int
-    word_length: int
-    components: int
 
 
 def gg_signature(word: BraidWord) -> SignatureResult:
     """Signature of the closure of a 3-braid: phi(B(w)) - 2 e(w)/3."""
     _check_three_strands(word)
-    value = _signature(burau_minus1(word), writhe(word))
-    return SignatureResult(value, len(word), closure_components(word))
+    return SignatureResult(_signature(burau_minus1(word), writhe(word)))
 
 
 def power_signatures(word: BraidWord, nmax: int) -> list[int]:
@@ -198,16 +195,6 @@ def _seifert_entries(word: BraidWord) -> tuple[int, list[tuple[int, int, int]]]:
                 entries.append((x, y, _CROSS_AHEAD) if pair_x < pair_y
                                else (y, x, _CROSS_BEHIND))
     return d, entries
-
-
-def seifert_matrix(word: BraidWord) -> Matrix:
-    """Integer Seifert matrix V for the closure of the word, with loop x the
-    x-th loop by start position: the entries of _seifert_entries, densified."""
-    d, entries = _seifert_entries(word)
-    v = [[0] * d for _ in range(d)]
-    for x, y, value in entries:
-        v[x][y] = value
-    return tuple(map(tuple, v))
 
 
 def seifert_signature_oracle(word: BraidWord) -> int:

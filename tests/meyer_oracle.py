@@ -9,6 +9,8 @@ the Fraction subspace functions the route needs, built on
 braidwalk.linalg.rref.  They are the route braidwalk.meyer used before its
 closed form; the tests compare the two.
 
+seifert_matrix is the dense Seifert matrix of the entries that
+braidwalk.meyer._seifert_entries lists, loops numbered by start position.
 seifert_matrix_by_pair is the Seifert matrix with its loops grouped by
 strand pair, the construction braidwalk.meyer used before it numbered the
 loops by start position; pair_sorted_loops gives its loop order, so the
@@ -22,7 +24,7 @@ from typing import Sequence
 
 from braidwalk.braid import BraidWord
 from braidwalk.linalg import Matrix, Vector, identity, mat_sub, rref
-from braidwalk.meyer import _CROSS_AHEAD, _CROSS_BEHIND, _check_sl2
+from braidwalk.meyer import _CROSS_AHEAD, _CROSS_BEHIND, _check_sl2, _seifert_entries
 
 
 def kernel_basis(a: Matrix) -> list[Vector]:
@@ -140,6 +142,16 @@ def meyer_gram(g1: Matrix, g2: Matrix) -> tuple[list[Vector], Matrix]:
         for a in range(d)
     )
     return basis, gram
+
+
+def seifert_matrix(word: BraidWord) -> Matrix:
+    """Integer Seifert matrix V for the closure of the word, with loop x the
+    x-th loop by start position: the entries of _seifert_entries, densified."""
+    d, entries = _seifert_entries(word)
+    v = [[0] * d for _ in range(d)]
+    for x, y, value in entries:
+        v[x][y] = value
+    return tuple(map(tuple, v))
 
 
 def pair_sorted_loops(word: BraidWord) -> list[tuple[int, int, int]]:

@@ -4,7 +4,7 @@ from fractions import Fraction
 from math import gcd
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from braidwalk.braid import BraidWord, closure_components
 from braidwalk.burau import burau_minus1
@@ -22,6 +22,7 @@ from braidwalk.lissajous import (
     power_signature,
     sample_polyline,
 )
+import lissajous_oracle
 
 
 def valid_pairs(qmax=35, pmax=30):
@@ -151,6 +152,22 @@ def test_percentage_table_frozen_rows():
     assert row["percent"] == 57  # integer part, not rounding
     with pytest.raises(ValueError):
         percentage_table(qs=(5,), mode="bogus")
+
+
+@pytest.mark.parametrize("mode", ["literal", "full-range"])
+def test_percentage_table_matches_two_branch_oracle(mode):
+    # q = 1 has no literal candidate: denominator 0
+    qs = tuple(q for q in range(1, 152, 2) if q % 3 != 0)
+    assert percentage_table(qs, mode) == lissajous_oracle.percentage_table(qs, mode)
+
+
+@given(st.integers(min_value=0, max_value=40), st.integers(min_value=1, max_value=200))
+@settings(max_examples=150, deadline=None)
+def test_letter_tuple_words_match_concat_inverse_reference(k, p):
+    q = 2 * k + 1
+    assume(q % 3 != 0 and p % 3 != 0 and gcd(q, p) == 1)
+    assert lissajous_braid(q, p) == lissajous_oracle.lissajous_braid(q, p)
+    assert classify(q, p) == lissajous_oracle.classify(q, p)
 
 
 def test_default_table_qs():
