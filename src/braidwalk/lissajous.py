@@ -28,7 +28,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import cos, gcd, pi, sin
+from math import cos, gcd, isfinite, pi, sin
 
 from .braid import BraidWord, closure_components
 from .burau import burau_minus1
@@ -328,6 +328,8 @@ def sample_polyline(q: int, p: int, alpha: float = 0.0, samples: int = 2000) -> 
         raise ValueError("q and p must be positive")
     if samples < 2:
         raise ValueError("need at least two samples")
+    if not isfinite(alpha):
+        raise ValueError("alpha must be finite, got %r" % alpha)
     xs, ys, zs = [], [], []
     for s in range(samples):
         theta = 2 * pi * s / samples

@@ -40,8 +40,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
-import numpy as np
-
+# numpy is imported inside each function that calls it, so that importing
+# braidwalk, and so every command that never walks, loads no numpy.
 from .braid import BraidWord
 from .burau import burau_minus1, intersection_form, symplectic_image
 from .linalg import det_ring
@@ -99,6 +99,7 @@ class GenMeasure:
 def _atom_images(mu: GenMeasure, rep) -> tuple[np.ndarray, list, int]:
     """Atom images as an (atoms, d, d) int64 array, and the atom weights as
     integer numerators over their common denominator."""
+    import numpy as np
     denom = 1
     for _, weight in mu.atoms:
         denom = denom * weight.denominator // gcd(denom, weight.denominator)
@@ -115,6 +116,7 @@ def _walk_atoms(mu: GenMeasure, rep, k: int) -> tuple[np.ndarray, list, int]:
     (largest row-sum norm of an atom image)^k bounds every entry and every
     partial sum of such a product, so the check runs before any work.
     """
+    import numpy as np
     if k < 0:
         raise ValueError("step count must be >= 0")
     mats, wnums, denom = _atom_images(mu, rep)
@@ -134,6 +136,7 @@ def _merge(states: np.ndarray, counts: np.ndarray) -> tuple[np.ndarray, np.ndarr
     the words (a plain argsort for one word) orders the rows
     lexicographically.
     """
+    import numpy as np
     flat = states.reshape(len(states), -1)
     bound = int(np.abs(flat).max())
     base = 2 * bound + 1
@@ -158,6 +161,7 @@ def _merge(states: np.ndarray, counts: np.ndarray) -> tuple[np.ndarray, np.ndarr
 
 def _count_dtype(denom: int, k: int):
     """int64 while denom^k < 2^63, exact Python ints (object dtype) beyond."""
+    import numpy as np
     return np.int64 if denom ** max(k, 1) < 2 ** 63 else object
 
 
@@ -171,6 +175,7 @@ def _laws(mats: np.ndarray, weights: np.ndarray, denom: int, kmax: int, start: n
     atom image, then a sort and a segment sum.  Counts take the dtype of
     weights, so the caller sizes them for the whole walk.
     """
+    import numpy as np
     m, d = start.shape
     states = start[None]
     counts = np.ones(1, dtype=weights.dtype)
@@ -187,6 +192,7 @@ def _walk_laws(mu: GenMeasure, rep, kmax: int):
     identity, with counts int64 while denom^kmax < 2^63 and Python ints
     beyond; kmax is refused before any work when entries could leave int64.
     """
+    import numpy as np
     mats, wnums, denom = _walk_atoms(mu, rep, kmax)
     weights = np.array(wnums, dtype=_count_dtype(denom, kmax))
     return _laws(mats, weights, denom, kmax, np.eye(mats.shape[1], dtype=np.int64))
@@ -214,11 +220,12 @@ def _entry_predicate(entry: tuple[int, int], test):
 
 
 # |top-left entry| > 2: the walk left the recurrent-looking band
-predicate_z11 = _entry_predicate((0, 0), lambda values: np.abs(values) > 2)
+predicate_z11 = _entry_predicate((0, 0), lambda values: abs(values) > 2)
 
 
 def predicate_all_entries_big(states: np.ndarray) -> np.ndarray:
     """Every entry exceeds 2 in absolute value."""
+    import numpy as np
     return (np.abs(states) > 2).all(axis=(1, 2))
 
 
@@ -242,6 +249,7 @@ def _checked(predicate):
     array but answers about one matrix's rows, and summing that answer would
     give a wrong count, so the shape and dtype are checked on every call.
     """
+    import numpy as np
     predicate = _named(predicate)
 
     def hits(states: np.ndarray) -> np.ndarray:
@@ -273,6 +281,7 @@ def _entry_series(mu: GenMeasure, rep, kmax: int, entry, test) -> list[Fraction]
     and its partial sums, and the counts are sized for denom^kmax, the
     largest weighted pair sum.
     """
+    import numpy as np
     mats, wnums, denom = _walk_atoms(mu, rep, kmax)
     weights = np.array(wnums, dtype=_count_dtype(denom, kmax))
     eye = np.eye(mats.shape[1], dtype=np.int64)
@@ -345,6 +354,7 @@ def monte_carlo_hitting(
     confidence interval, raw hit/trial counts, the seed, and hits_by_step:
     the hit counts after 0..k steps of the same sampled walks.
     """
+    import numpy as np
     if trials <= 0:
         raise ValueError("trials must be positive")
     predicate = _checked(predicate)
@@ -509,6 +519,7 @@ def _check_budget(order: int) -> None:
 def _codes(mats: np.ndarray, p: int, projective: bool) -> np.ndarray:
     """Integer key of each reduced d x d matrix: its row-major entries as
     base-p digits; in projective mode the smaller key of M and -M."""
+    import numpy as np
     flat = mats.reshape(len(mats), -1)
     place = p ** np.arange(flat.shape[1] - 1, -1, -1, dtype=np.int64)
     codes = flat @ place
@@ -526,6 +537,7 @@ def _cayley_table(gens: list, p: int, projective: bool):
     sorted ascending, the (size, d, d) array of elements in that order, and
     for each generator g the index array i -> index of elements[i] @ g.
     """
+    import numpy as np
     d = len(gens[0])
     # keys fit int64; MAX_GROUP_ORDER already keeps p and d far below this
     assert p ** (d * d) < 2 ** 63
@@ -561,7 +573,7 @@ ENTRY_POLYNOMIALS = {
     "m12": lambda elements: elements[:, 0, 1],
     "m21": lambda elements: elements[:, 1, 0],
     "m22": lambda elements: elements[:, 1, 1],
-    "det-1": lambda elements: np.array([det_ring(m) - 1 for m in elements.tolist()]),
+    "det-1": lambda elements: [det_ring(m) - 1 for m in elements.tolist()],
 }
 
 # transvection x -> x + <e1 + e3, x> (e1 + e3) for the tridiagonal form J on
@@ -577,6 +589,7 @@ def zero_density(poly: str, l: int, p: int) -> Fraction:
     images (plus a transvection for l >= 2); refused when |Sp(2l, p)|
     exceeds MAX_GROUP_ORDER.  poly is a name from ENTRY_POLYNOMIALS.
     """
+    import numpy as np
     if poly not in ENTRY_POLYNOMIALS:
         raise ValueError("unknown entry polynomial %r" % (poly,))
     order = sp_order(l, p)
@@ -590,7 +603,7 @@ def zero_density(poly: str, l: int, p: int) -> Fraction:
             "generators reach %d of the %d elements of Sp(%d, %d)"
             % (len(elements), order, 2 * l, p)
         )
-    zeros = int((ENTRY_POLYNOMIALS[poly](elements) % p == 0).sum())
+    zeros = int((np.asarray(ENTRY_POLYNOMIALS[poly](elements)) % p == 0).sum())
     return Fraction(zeros, order)
 
 
@@ -617,6 +630,7 @@ def finite_walk_tv(
     floor is positive and `generated` is False.  Groups above
     MAX_GROUP_ORDER and negative step counts are refused.
     """
+    import numpy as np
     if steps < 0:
         raise ValueError("step count must be >= 0")
     n = mu.strands

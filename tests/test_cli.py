@@ -227,6 +227,17 @@ def test_lissajous_table_markdown(capsys):
     assert lines[3] == "| % | 100 | 50 |"
 
 
+@pytest.mark.parametrize("alpha", ["nan", "inf"])
+def test_lissajous_sample_refuses_a_non_finite_alpha(capsys, tmp_path, alpha):
+    # json.dumps writes NaN, which is not JSON, and math.cos(inf) raises
+    target = tmp_path / "curve.json"
+    rc, out, err = run(capsys, "lissajous", "sample", "--q", "3", "--p", "2",
+                       "--alpha", alpha, "--out", str(target))
+    assert rc == 2 and out == ""
+    assert "computation error: alpha must be finite, got %s" % alpha in err
+    assert not target.exists()
+
+
 def test_lissajous_sample_out(capsys, tmp_path):
     target = tmp_path / "curve.json"
     rc, _, _ = run(capsys, "lissajous", "sample", "--q", "3", "--p", "2",
