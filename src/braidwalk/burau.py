@@ -47,6 +47,30 @@ def burau_matrix(word: BraidWord) -> Matrix:
     return tuple(zip(*cols))
 
 
+def _minus1_3(letters) -> Matrix:
+    """Integer Burau matrix at t = -1 of 3-strand letters (+-1, +-2).
+
+    The image ((a, b), (c, d)) is four ints: sigma_1^s sets a -= s b,
+    c -= s d and sigma_2^s sets b += s a, d += s c.  The letters need not
+    be freely reduced, since the image is a homomorphism.
+    """
+    a, b, c, d = 1, 0, 0, 1
+    for g in letters:
+        if g == 1:
+            a -= b
+            c -= d
+        elif g == -1:
+            a += b
+            c += d
+        elif g == 2:
+            b += a
+            d += c
+        else:
+            b -= a
+            d -= c
+    return ((a, b), (c, d))
+
+
 def burau_minus1(word: BraidWord) -> Matrix:
     """Integer Burau matrix at t = -1 (product in word order).
 
@@ -54,25 +78,10 @@ def burau_minus1(word: BraidWord) -> Matrix:
     I + s e_r (e_{r+1} - e_{r-1})^T, so multiplying by it on the right
     changes two columns only: col[r-1] -= s col[r] and col[r+1] += s col[r].
     The word is applied to the identity as these column operations; on 3
-    strands the image ((a, b), (c, d)) is four ints, sigma_1^s sets
-    a -= s b, c -= s d and sigma_2^s sets b += s a, d += s c.
+    strands they act on four ints (_minus1_3).
     """
     if word.strands == 3:
-        a, b, c, d = 1, 0, 0, 1
-        for g in word.letters:
-            if g == 1:
-                a -= b
-                c -= d
-            elif g == -1:
-                a += b
-                c += d
-            elif g == 2:
-                b += a
-                d += c
-            else:
-                b -= a
-                d -= c
-        return ((a, b), (c, d))
+        return _minus1_3(word.letters)
     m = word.strands - 1
     cols = [[int(i == j) for i in range(m)] for j in range(m)]
     for g in word.letters:

@@ -28,6 +28,7 @@ from .lissajous import (
     classify,
     lissajous_braid,
     percentage_table,
+    percentage_tables,
     sample_polyline,
 )
 from .meyer import gg_signature, meyer_cocycle, seifert_signature_oracle
@@ -226,8 +227,7 @@ def _cmd_reproduce(args):
     mu = GenMeasure.uniform_generators(3)
     series = hitting_series(mu, PREDICATES["z11"], 12)
     tables = {"walk_z11_table.csv": _walk_lines(series)}
-    for mode in ("literal", "full-range"):
-        rows = percentage_table(mode=mode)
+    for mode, rows in percentage_tables().items():
         name = "lissajous_table_%s.csv" % mode.replace("-", "_")
         tables[name] = _lissajous_table_lines(rows, mode, "csv")
     paths = [os.path.join(args.out_dir, name) for name in tables]
@@ -361,9 +361,22 @@ def build_parser():
     return parser
 
 
+def _glue_alpha(argv):
+    """Join each --alpha token to the token after it, as --alpha=<value>:
+    argparse reads a value such as -1e5 or -inf after an option as an
+    option of its own."""
+    out = []
+    for token in argv:
+        if out and out[-1] == "--alpha":
+            out[-1] = "--alpha=" + token
+        else:
+            out.append(token)
+    return out
+
+
 def main(argv=None):
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_glue_alpha(sys.argv[1:] if argv is None else argv))
     out = getattr(args, "out", None)
     try:
         if out:

@@ -18,10 +18,13 @@ its top row decides whether every power of the braid has zero signature
 (hyperbolic case), whether the closure family is a torus-knot family, or
 whether the underlying construction degenerates to a 3-component link.
 The words are assembled as letter tuples (Q^-1 is Q reversed and
-negated), so classify builds three BraidWords: P, Q and the full braid.
+negated), and classify takes the images of P, Q and the full braid
+straight from those tuples with the 3-strand kernel of burau_minus1; it
+builds no BraidWord.
 
-The census (percentage_table) applies one family test in both modes; the
-modes differ only in which p in (q, 2q] they keep and in the denominator.
+The census (percentage_tables) applies one family test in both modes and
+fills both from one pass, classifying each reduced pair once; the modes
+differ only in which p in (q, 2q] they keep and in the denominator.
 """
 
 from __future__ import annotations
@@ -31,7 +34,7 @@ from fractions import Fraction
 from math import cos, gcd, isfinite, pi, sin
 
 from .braid import BraidWord, closure_components
-from .burau import burau_minus1
+from .burau import _minus1_3
 from .linalg import mat_mul, mat_transpose
 from .meyer import power_signatures
 
@@ -128,11 +131,11 @@ def classify(q: int, p: int) -> LissajousClass:
     """
     qw = _q_word(q, p)
     # the half word P: the first (q-1)/2 letters of Q
-    pm = burau_minus1(BraidWord(3, qw[: (q - 1) // 2]))
-    if burau_minus1(BraidWord(3, qw)) != mat_mul(pm, mat_transpose(pm)):
+    pm = _minus1_3(qw[: (q - 1) // 2])
+    if _minus1_3(qw) != mat_mul(pm, mat_transpose(pm)):
         raise RuntimeError("half-word factorisation failed for (%d, %d)" % (q, p))
     a, b = pm[0]
-    braid_image = burau_minus1(BraidWord(3, _braid_of(qw)))
+    braid_image = _minus1_3(_braid_of(qw))
     trace = braid_image[0][0] + braid_image[1][1]
     if trace != 2 - (a * a + b * b) ** 2:
         raise RuntimeError("trace identity failed for (%d, %d)" % (q, p))
@@ -168,59 +171,62 @@ def power_signature(q: int, p: int, n: int) -> int:
 # survey tables
 
 
-def _family_all_zero(q: int, p: int) -> bool:
-    """Whether every knot in the (q, p) family has zero signature.
+MODES = ("literal", "full-range")
 
-    The pair is first reduced by d = gcd(q, p).  A mixed-parity base (even
-    p/d) gives zero signatures throughout; a both-odd base is decided by the
-    trichotomy (only the hyperbolic class is all-zero: torus families have
-    growing signatures, including the trivial base q/d = 1).
+
+def _row(q: int, num: int, den: int) -> dict:
+    return {
+        "q": q,
+        "numerator": num,
+        "denominator": den,
+        "fraction": Fraction(num, den) if den else Fraction(0),
+        "percent": (100 * num) // den if den else 0,
+    }
+
+
+def percentage_tables(qs=None) -> dict:
+    """Share of zero-signature frequencies p in (q, 2q] for each q, in both
+    modes from one pass: {"literal": rows, "full-range": rows}.
+
+    Both modes count the p prime to 3 whose whole family has zero
+    signature.  The pair is first reduced by d = gcd(q, p): a mixed-parity
+    base (even p/d) gives zero signatures throughout, and a both-odd base
+    is all-zero exactly in the hyperbolic class (torus families have
+    growing signatures, including the trivial base q/d = 1).  Each reduced
+    both-odd pair is classified once per pass.  Mode "literal" keeps only
+    the odd p coprime to q, where the test is classify(q, p).kind ==
+    ZERO_SIG, and divides by their number; mode "full-range" divides by
+    all q integers in (q, 2q], which adds the even and non-coprime columns.
+
+    Rows are dicts with q, numerator, denominator, fraction and the percent
+    rounded down to an integer.  Every q is checked (odd and prime to 3)
+    before any pair is classified.
     """
-    d = gcd(q, p)
-    q0, p0 = q // d, p // d
-    if p0 % 2 == 0:
-        return True
-    return classify(q0, p0).kind == ZERO_SIG
+    qs = DEFAULT_TABLE_QS if qs is None else tuple(qs)
+    if any(q % 2 == 0 or q % 3 == 0 for q in qs):
+        raise ValueError("table q values must be odd and prime to 3")
+    hyperbolic = {}
+    tables = {mode: [] for mode in MODES}
+    for q in qs:
+        zero = {}
+        for p in range(q + 1, 2 * q + 1):
+            if p % 3:
+                d = gcd(q, p)
+                q0, p0 = q // d, p // d
+                if p0 % 2 and (q0, p0) not in hyperbolic:
+                    hyperbolic[q0, p0] = classify(q0, p0).kind == ZERO_SIG
+                zero[p] = p0 % 2 == 0 or hyperbolic[q0, p0]
+        literal = [p for p in zero if p % 2 == 1 and gcd(p, q) == 1]
+        tables["literal"].append(_row(q, sum(zero[p] for p in literal), len(literal)))
+        tables["full-range"].append(_row(q, sum(zero.values()), q))
+    return tables
 
 
 def percentage_table(qs=None, mode: str = "literal") -> list:
-    """Share of zero-signature frequencies p in (q, 2q] for each q.
-
-    Both modes count the p prime to 3 whose whole family (after reducing
-    by gcd) has zero signature.  Mode "literal" keeps only the odd p
-    coprime to q, where that test is classify(q, p).kind == ZERO_SIG, and
-    divides by their number.  Mode "full-range" divides by all q integers
-    in (q, 2q], which adds the even and non-coprime columns.
-
-    Rows are dicts with q, numerator, denominator, fraction and the percent
-    rounded down to an integer.
-    """
-    if qs is None:
-        qs = DEFAULT_TABLE_QS
-    if mode not in ("literal", "full-range"):
+    """The rows of one mode of percentage_tables."""
+    if mode not in MODES:
         raise ValueError("unknown mode %r" % mode)
-    rows = []
-    for q in qs:
-        if q % 2 == 0 or q % 3 == 0:
-            raise ValueError("table q values must be odd and prime to 3")
-        cands = [p for p in range(q + 1, 2 * q + 1) if p % 3 != 0]
-        if mode == "literal":
-            cands = [p for p in cands if p % 2 == 1 and gcd(p, q) == 1]
-            den = len(cands)
-        else:
-            den = q
-        num = sum(_family_all_zero(q, p) for p in cands)
-        frac = Fraction(num, den) if den else Fraction(0)
-        rows.append(
-            {
-                "q": q,
-                "numerator": num,
-                "denominator": den,
-                "fraction": frac,
-                "percent": (100 * num) // den if den else 0,
-            }
-        )
-    return rows
+    return percentage_tables(qs)[mode]
 
 
 # ---------------------------------------------------------------------------

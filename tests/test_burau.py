@@ -5,7 +5,7 @@ import time
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import braidwalk.burau as burau_module
 from braidwalk.braid import BraidWord, closure_components, inverse
@@ -195,6 +195,19 @@ def test_3_strand_kernel_anchors():
     got = burau_minus1(BraidWord(3, (1, -2) * k))
     assert got == ((fib[2 * k - 1], -fib[2 * k]), (-fib[2 * k], fib[2 * k + 1]))
     assert fib[2 * k] > 2**200
+    assert _is_int_matrix(got)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.sampled_from([1, -1, 2, -2]), max_size=40).map(tuple))
+@example((1, -1, 2, -2, -2, 2, 1, 1, -1))
+def test_3_strand_letter_kernel_matches_word_image(letters):
+    # tuples that are not freely reduced included: the image is a homomorphism
+    product = identity(2)
+    for g in letters:
+        product = mat_mul(product, burau_generator_minus1(3, abs(g), inverse=g < 0))
+    got = burau_module._minus1_3(letters)
+    assert got == burau_minus1(BraidWord(3, letters)) == product
     assert _is_int_matrix(got)
 
 

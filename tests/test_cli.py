@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from braidwalk import cli, walks
+from braidwalk import cli, lissajous, walks
 from braidwalk.braid import BraidWord
 from braidwalk.linalg import form_signature
 from braidwalk.walks import GenMeasure, monte_carlo_hitting
@@ -227,7 +227,7 @@ def test_lissajous_table_markdown(capsys):
     assert lines[3] == "| % | 100 | 50 |"
 
 
-@pytest.mark.parametrize("alpha", ["nan", "inf"])
+@pytest.mark.parametrize("alpha", ["nan", "inf", "-inf"])
 def test_lissajous_sample_refuses_a_non_finite_alpha(capsys, tmp_path, alpha):
     # json.dumps writes NaN, which is not JSON, and math.cos(inf) raises
     target = tmp_path / "curve.json"
@@ -236,6 +236,15 @@ def test_lissajous_sample_refuses_a_non_finite_alpha(capsys, tmp_path, alpha):
     assert rc == 2 and out == ""
     assert "computation error: alpha must be finite, got %s" % alpha in err
     assert not target.exists()
+
+
+@pytest.mark.parametrize("alpha", ["-1e5", "-0.5"])
+def test_lissajous_sample_takes_a_negative_alpha_as_its_value(capsys, alpha):
+    argv = ("lissajous", "sample", "--q", "3", "--p", "2", "--samples", "8")
+    rc, out, err = run(capsys, *argv, "--alpha", alpha)
+    assert rc == 0 and err == ""
+    assert json.loads(out)["alpha"] == float(alpha)
+    assert run(capsys, *argv, "--alpha=" + alpha) == (0, out, "")
 
 
 def test_lissajous_sample_out(capsys, tmp_path):
@@ -268,10 +277,20 @@ def test_reproduce_idempotent(capsys, tmp_path):
         assert (out_dir / name).read_bytes() == blob
 
 
-def test_reproduce_matches_committed_tables(capsys, tmp_path):
+def test_reproduce_matches_committed_tables(capsys, monkeypatch, tmp_path):
     committed = Path(__file__).resolve().parents[1] / "tables"
+    calls = []
+    real = lissajous.classify
+
+    def counting(q, p):
+        calls.append((q, p))
+        return real(q, p)
+
+    monkeypatch.setattr(lissajous, "classify", counting)
     rc, out, _ = run(capsys, "reproduce", "paper-tables", "--out-dir", str(tmp_path))
     assert rc == 0
+    # one census pass for both modes: each reduced both-odd pair once
+    assert len(calls) == len(set(calls)) == 522
     names = ("walk_z11_table.csv", "lissajous_table_literal.csv",
              "lissajous_table_full_range.csv")
     assert sorted(json.loads(out)["written"]) == sorted(str(tmp_path / n) for n in names)

@@ -6,6 +6,7 @@ from math import gcd
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from braidwalk import lissajous
 from braidwalk.braid import BraidWord, closure_components
 from braidwalk.burau import burau_minus1
 from braidwalk.lissajous import (
@@ -19,6 +20,7 @@ from braidwalk.lissajous import (
     lambda_seq,
     lissajous_braid,
     percentage_table,
+    percentage_tables,
     power_signature,
     sample_polyline,
 )
@@ -159,6 +161,56 @@ def test_percentage_table_matches_two_branch_oracle(mode):
     # q = 1 has no literal candidate: denominator 0
     qs = tuple(q for q in range(1, 152, 2) if q % 3 != 0)
     assert percentage_table(qs, mode) == lissajous_oracle.percentage_table(qs, mode)
+
+
+def _count_classify(monkeypatch):
+    """Record the (q, p) of every lissajous.classify call."""
+    calls = []
+    real = lissajous.classify
+
+    def counting(q, p):
+        calls.append((q, p))
+        return real(q, p)
+
+    monkeypatch.setattr(lissajous, "classify", counting)
+    return calls
+
+
+def test_census_classifies_each_reduced_pair_once(monkeypatch):
+    calls = _count_classify(monkeypatch)
+    percentage_tables()
+    assert len(calls) == len(set(calls)) == 522
+    assert all(gcd(q, p) == 1 and q % 2 == p % 2 == 1 for q, p in calls)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: percentage_tables((5, 9)),
+    lambda: percentage_table((5, 9), "literal"),
+    lambda: percentage_table((5, 7, 8), "full-range"),
+], ids=["tables", "literal", "full-range"])
+def test_census_checks_every_q_before_classifying(monkeypatch, call):
+    calls = _count_classify(monkeypatch)
+    with pytest.raises(ValueError, match="odd and prime to 3"):
+        call()
+    assert calls == []
+
+
+@pytest.mark.parametrize("length,message", [
+    (10, "half-word factorisation failed for \\(11, 13\\)"),
+    (22, "trace identity failed for \\(11, 13\\)"),
+], ids=["factorisation", "trace"])
+def test_classify_identity_checks_are_live(monkeypatch, length, message):
+    # plant a wrong image of Q (q - 1 letters) or of the full braid (2q)
+    real = lissajous._minus1_3
+
+    def planted(letters):
+        (a, b), (c, d) = real(letters)
+        return ((a + (len(letters) == length), b), (c, d))
+
+    classify(11, 13)
+    monkeypatch.setattr(lissajous, "_minus1_3", planted)
+    with pytest.raises(RuntimeError, match=message):
+        classify(11, 13)
 
 
 @given(st.integers(min_value=0, max_value=40), st.integers(min_value=1, max_value=200))
