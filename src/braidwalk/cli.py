@@ -24,6 +24,7 @@ from .braid import BraidWord, format_word, parse_word
 from .burau import alexander_at_minus1, alexander_poly, burau_matrix, burau_minus1
 from .lissajous import (
     DEFAULT_TABLE_QS,
+    MODES,
     braid_from_parametrization,
     classify,
     lissajous_braid,
@@ -325,7 +326,7 @@ def build_parser():
 
     pt = lsub.add_parser("table", help="zero-signature percentage table")
     pt.add_argument("--qmax", type=int, default=101)
-    pt.add_argument("--mode", choices=("literal", "full-range"), default="literal")
+    pt.add_argument("--mode", choices=MODES, default="literal")
     pt.add_argument("--format", choices=("csv", "json", "markdown"), default="csv")
     pt.add_argument("--out", default=None)
     pt.set_defaults(fn=_cmd_lissajous_table)

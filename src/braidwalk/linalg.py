@@ -4,7 +4,8 @@ Matrices are tuples of row tuples.  mat_mul and its relatives take any ring
 entries (python ints, Fractions, LaurentPoly).  The two kernels of the
 n-strand invariants stay in integers and are fraction-free: det_ring is
 Bareiss elimination over Z or Z[t, 1/t], and row_signature is sparse
-symmetric elimination with 1x1 and 2x2 pivots on dicts of nonzero entries.
+symmetric Bareiss elimination on dicts of nonzero entries, with one pivot
+kind: a zero diagonal first gets Lagrange's congruence e_k <- e_k +- e_j.
 form_signature is its dense entry: it checks a tuple matrix and hands over
 the upper triangle; the Seifert oracle builds its rows itself and never
 forms a dense matrix.  Both kernels divide only through _divide_exact,
@@ -178,67 +179,46 @@ def form_signature(gram: Matrix) -> int:
 def row_signature(rows: list[dict[int, int]]) -> int:
     """Signature of the symmetric integer matrix M whose upper triangle is
     rows: rows[i] maps each j >= i with M[i][j] != 0 to that int.  The
-    rows are consumed.  The elimination is sparse fraction-free symmetric
-    elimination (Bareiss, Math. Comp. 22 (1968)) with 1x1 and 2x2 pivots
-    (Bunch-Kaufman, Math. Comp. 31 (1977)); the input is not checked.
+    rows are consumed; the input is not checked.
 
-    Rows are eliminated in index order.  With D the determinant of the
-    pivot block taken so far, every entry is a bordered minor, D times the
-    Schur complement (Sylvester's identity), and only the pivot's
-    neighbours N change:
-
-    * a nonzero diagonal p is a 1x1 pivot; it adds sgn(p D), and with u
-      its row, M[i][l] <- (p M[i][l] - u_i u_l) / D, then D <- p;
-    * a zero diagonal with M[k][j] = b != 0, j the smallest such, is a 2x2
-      pivot on (k, j) with det = -b^2 < 0, so it adds 0, and with x, y the
-      rows of k and j and c = M[j][j],
-      M[i][l] <- (-b^2 M[i][l] - c x_i x_l + b (x_i y_l + y_i x_l)) / D^2,
-      then D <- -b^2 / D;
-    * a zero row is dropped.
-
-    A row outside N only changes by D_now / D_stamp, which is applied when
-    it is next read.  Every division is exact, and an inexact one raises
-    ArithmeticError.  Banded input (the Seifert oracle's loops in start
-    order) stays banded, so the cost is about d w^2 for bandwidth w.
+    Sparse fraction-free elimination in index order (Bareiss, Math. Comp.
+    22 (1968)), with D the determinant of the pivots so far.  A zero
+    diagonal at k in a nonzero row first gets Lagrange's congruence
+    e_k <- e_k + s e_j, with j its first nonzero column and s = +-1 such
+    that p = M[j][j] + 2 s M[k][j] != 0.  Each pivot p adds sgn(p D), sets
+    M[i][l] <- (p M[i][l] - M[k][i] M[k][l]) / D on its neighbours i, l
+    and D <- p; a zero row is dropped.  Entries stay bordered minors, so
+    every division is exact (else ArithmeticError).  A row that no pivot
+    touches is rescaled when next read, and banded input (the Seifert
+    oracle's) stays banded: about d w^2 work for bandwidth w.
     """
     d = len(rows)
     stamps = [1] * d
     det, sig = 1, 0
     for k in range(d):
-        if rows[k] is None:
-            continue  # the second row of a 2x2 pivot
         x = _rescaled(rows, stamps, k, det)
         p = x.pop(k, 0)
-        if p:
-            sig += 1 if (p > 0) == (det > 0) else -1
-            # the 2x2 update below with c = 1 and b = y = 0
-            y, c, b, scale, divisor, new_det = {}, 1, 0, p, det, p
-        elif x:
+        if not p:
+            if not x:
+                continue  # a zero row
             j = min(x)
-            b = x.pop(j)
-            # column j above its diagonal lies in the rows between k and j
-            y = {i: _rescaled(rows, stamps, i, det).pop(j) for i in range(k + 1, j)
-                 if rows[i] is not None and j in rows[i]}
+            # row j past k; column j above its diagonal lies in rows k+1..j-1
+            y = {i: _rescaled(rows, stamps, i, det)[j]
+                 for i in range(k + 1, j) if j in rows[i]}
             y.update(_rescaled(rows, stamps, j, det))
-            rows[j] = None
-            c = y.pop(j, 0)
-            scale, divisor = -b * b, det * det
-            new_det = _divide_exact(scale, det)
-        else:
-            continue  # a zero row
-        near = x.keys() | y.keys()
-        for i in near:
-            xi, yi = x.get(i, 0), y.get(i, 0)
+            b, c = x[j], y.get(j, 0)
+            s = 1 if c + 2 * b else -1
+            p = c + 2 * s * b
+            for l, v in y.items():
+                x[l] = x.get(l, 0) + s * v
+        sig += 1 if (p > 0) == (det > 0) else -1
+        for i, xi in x.items():
             row = _rescaled(rows, stamps, i, det)
             new = {}
-            for l in row.keys() | near:
-                if l < i:
-                    continue  # kept in row l
-                xl, yl = x.get(l, 0), y.get(l, 0)
-                v = scale * row.get(l, 0) - c * xi * xl + b * (xi * yl + yi * xl)
-                if v:
-                    new[l] = _divide_exact(v, divisor)
+            for l in row.keys() | x.keys():
+                if l >= i and (v := p * row.get(l, 0) - xi * x.get(l, 0)):
+                    new[l] = _divide_exact(v, det)
             rows[i] = new
-            stamps[i] = new_det
-        det = new_det
+            stamps[i] = p
+        det = p
     return sig

@@ -199,12 +199,12 @@ def percentage_tables(qs=None) -> dict:
     all q integers in (q, 2q], which adds the even and non-coprime columns.
 
     Rows are dicts with q, numerator, denominator, fraction and the percent
-    rounded down to an integer.  Every q is checked (odd and prime to 3)
-    before any pair is classified.
+    rounded down to an integer.  Every q is checked (positive, odd and
+    prime to 3) before any pair is classified.
     """
     qs = DEFAULT_TABLE_QS if qs is None else tuple(qs)
-    if any(q % 2 == 0 or q % 3 == 0 for q in qs):
-        raise ValueError("table q values must be odd and prime to 3")
+    if any(q < 1 or q % 2 == 0 or q % 3 == 0 for q in qs):
+        raise ValueError("table q values must be positive, odd and prime to 3")
     hyperbolic = {}
     tables = {mode: [] for mode in MODES}
     for q in qs:

@@ -39,6 +39,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
+from numbers import Rational
 
 # numpy is imported inside each function that calls it, so that importing
 # braidwalk, and so every command that never walks, loads no numpy.
@@ -55,8 +56,10 @@ from .linalg import det_ring
 class GenMeasure:
     """Finitely supported step measure on a braid group.
 
-    atoms: tuple of (word, weight) pairs; weights are positive Fractions
-    summing to 1 and all words share the same strand count.
+    atoms: tuple of (word, weight) pairs; weights are positive rationals
+    (ints or Fractions) summing to 1 and all words share the same strand
+    count.  A float, a string or any other non-Rational weight raises
+    ValueError.
     """
 
     atoms: tuple[tuple[BraidWord, Fraction], ...]
@@ -69,7 +72,8 @@ class GenMeasure:
             raise ValueError("atoms live in different braid groups: %s" % strands)
         total = Fraction(0)
         for word, weight in self.atoms:
-            weight = Fraction(weight)
+            if not isinstance(weight, Rational):
+                raise ValueError("weight of %s is %r, not a rational" % (word, weight))
             if weight <= 0:
                 raise ValueError("weight of %s is not positive" % (word,))
             total += weight

@@ -181,9 +181,10 @@ def test_form_signature_matches_fraction_oracle(m):
 
 @st.composite
 def banded_symmetric(draw, max_dim=12):
-    """Banded symmetric matrices with mostly zero diagonals (2x2 pivots),
-    zeroed rows, and a tail of rows that are combinations of earlier ones
-    (singular tails): B^T M B with B = [I | C], C banded."""
+    """Banded symmetric matrices with mostly zero diagonals (Lagrange's
+    fix-up before most pivots), zeroed rows, and a tail of rows that are
+    combinations of earlier ones (singular tails): B^T M B with
+    B = [I | C], C banded."""
     d = draw(st.integers(min_value=1, max_value=max_dim))
     width = draw(st.integers(min_value=1, max_value=3))
     m = [[0] * d for _ in range(d)]
@@ -230,6 +231,11 @@ def test_form_signature_pivot_cases():
     assert form_signature(((-2, 1, 1), (1, 0, 3), (1, 3, 0))) == -1
     assert form_signature(((0, 1, 0, 0), (1, 0, 0, 0), (0, 0, 0, 2), (0, 0, 2, 0))) == 0
     assert form_signature(((0, 1, 1), (1, 0, 1), (1, 1, 0))) == -1  # eigenvalues 2, -1, -1
+    # Lagrange's fix-up e_k <- e_k + s e_j of a zero diagonal
+    assert form_signature(((0, 1), (1, -2))) == 0  # c + 2b = 0, so s = -1
+    assert form_signature(((0, 0, 1), (0, 1, 0), (1, 0, 0))) == 1  # partner past a band gap
+    assert form_signature(((0, 1), (1, -1))) == 0  # the fix-up zeroes x[j]
+    assert form_signature(((0, 0, 1), (0, 0, 1), (1, 1, 0))) == 0  # column j above its diagonal
     assert form_signature(()) == 0
 
 

@@ -187,10 +187,11 @@ def test_census_classifies_each_reduced_pair_once(monkeypatch):
     lambda: percentage_tables((5, 9)),
     lambda: percentage_table((5, 9), "literal"),
     lambda: percentage_table((5, 7, 8), "full-range"),
-], ids=["tables", "literal", "full-range"])
+    lambda: percentage_tables((5, -7)),
+], ids=["tables", "literal", "full-range", "negative"])
 def test_census_checks_every_q_before_classifying(monkeypatch, call):
     calls = _count_classify(monkeypatch)
-    with pytest.raises(ValueError, match="odd and prime to 3"):
+    with pytest.raises(ValueError, match="positive, odd and prime to 3"):
         call()
     assert calls == []
 

@@ -63,6 +63,11 @@ def test_measure_validation():
         GenMeasure(((w, Fraction(1)), (BraidWord(4, (1,)), Fraction(0))))
     with pytest.raises(ValueError):
         GenMeasure(((w, Fraction(3, 2)), (w, Fraction(-1, 2))))
+    # a float or a string weight would reach the walks and fail there
+    words = [BraidWord(3, (g,)) for g in (1, -1, 2, -2)]
+    for weight in (0.25, "1/4"):
+        with pytest.raises(ValueError, match="not a rational"):
+            GenMeasure(tuple((word, weight) for word in words))
 
 
 def test_uniform_generators():
