@@ -14,37 +14,45 @@ antisymmetric tridiagonal form J (J[i][i+1] = 1, J[i+1][i] = -1).  For an
 even number of strands J is degenerate with one radical line, fixed
 pointwise by the image; quotienting by it gives a genuinely symplectic
 representation one dimension down.
+
+One column kernel, _columns, applies the letters over Z[t, 1/t] and at
+t = -1; the 3-strand image at t = -1 is four ints (_minus1_3).
 """
 
 from __future__ import annotations
+
+from operator import mul
 
 from .braid import BraidWord
 from .laurent import ONE, LaurentPoly
 from .linalg import Matrix, det_ring, identity, mat_mul, mat_sub, mat_transpose
 
 
-def burau_matrix(word: BraidWord) -> Matrix:
-    """Burau matrix of a braid word over Z[t, 1/t] (product in word order).
-
-    Each letter acts on the columns, as in burau_minus1: sigma_i (r = m - i)
-    sets col[r-1] -= col[r], col[r+1] -= t col[r], col[r] = -t col[r];
-    sigma_i^-1 sets col[r-1] -= t^-1 col[r], col[r+1] -= col[r],
-    col[r] = -t^-1 col[r].
-    """
+def _columns(word: BraidWord, one, times, factors) -> Matrix:
+    """Burau matrix of word in the ring of one, as column operations on the
+    identity: with (u, v, w) = factors[g > 0], a letter g (r = m - |g|) sets
+    col[r-1] -= u col[r], col[r+1] -= v col[r] and col[r] = -w col[r], where
+    times(y, u) is u y; zero entries of col[r] are skipped."""
     m = word.strands - 1
-    zero = LaurentPoly.const(0)
-    cols = [[ONE if i == j else zero for i in range(m)] for j in range(m)]
+    zero = one - one
+    cols = [[one if i == j else zero for i in range(m)] for j in range(m)]
     for g in word.letters:
         r = m - abs(g)
-        # powers of t that multiply col[r] in col[r-1], col[r+1] and col[r]
-        left, right, own = (0, 1, 1) if g > 0 else (-1, 0, -1)
+        u, v, w = factors[g > 0]
         col = cols[r]
         if r > 0:
-            cols[r - 1] = [x - y.shift(left) if y else x for x, y in zip(cols[r - 1], col)]
+            cols[r - 1] = [x - times(y, u) if y else x for x, y in zip(cols[r - 1], col)]
         if r + 1 < m:
-            cols[r + 1] = [x - y.shift(right) if y else x for x, y in zip(cols[r + 1], col)]
-        cols[r] = [-y.shift(own) for y in col]
+            cols[r + 1] = [x - times(y, v) if y else x for x, y in zip(cols[r + 1], col)]
+        cols[r] = [-times(y, w) if y else y for y in col]
     return tuple(zip(*cols))
+
+
+def burau_matrix(word: BraidWord) -> Matrix:
+    """Burau matrix of a braid word over Z[t, 1/t] (product in word order):
+    the column operations of _columns with (u, v, w) = (1, t, t) for sigma_i
+    and (t^-1, 1, t^-1) for sigma_i^-1, as exponents of t."""
+    return _columns(word, ONE, LaurentPoly.shift, ((-1, 0, -1), (0, 1, 1)))
 
 
 def _minus1_3(letters) -> Matrix:
@@ -77,22 +85,12 @@ def burau_minus1(word: BraidWord) -> Matrix:
     At t = -1, sigma_i^s (s = +-1, r = m - i) is the transvection
     I + s e_r (e_{r+1} - e_{r-1})^T, so multiplying by it on the right
     changes two columns only: col[r-1] -= s col[r] and col[r+1] += s col[r].
-    The word is applied to the identity as these column operations; on 3
-    strands they act on four ints (_minus1_3).
+    These are the operations of burau_matrix with the signs of its powers
+    of t; on 3 strands _minus1_3 applies them to four ints.
     """
     if word.strands == 3:
         return _minus1_3(word.letters)
-    m = word.strands - 1
-    cols = [[int(i == j) for i in range(m)] for j in range(m)]
-    for g in word.letters:
-        r = m - abs(g)
-        s = 1 if g > 0 else -1
-        col = cols[r]
-        if r > 0:
-            cols[r - 1] = [x - s * y for x, y in zip(cols[r - 1], col)]
-        if r + 1 < m:
-            cols[r + 1] = [x + s * y for x, y in zip(cols[r + 1], col)]
-    return tuple(zip(*cols))
+    return _columns(word, 1, mul, ((-1, 1, -1), (1, -1, -1)))
 
 
 def intersection_form(m: int) -> Matrix:

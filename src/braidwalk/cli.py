@@ -209,6 +209,9 @@ def _cmd_lissajous_classify(args):
 
 def _cmd_lissajous_table(args):
     qs = tuple(q for q in DEFAULT_TABLE_QS if q <= args.qmax)
+    if not qs:
+        raise ValueError("--qmax %d selects no q; the smallest table q is %d"
+                         % (args.qmax, DEFAULT_TABLE_QS[0]))
     rows = percentage_table(qs=qs, mode=args.mode)
     return _lissajous_table_lines(rows, args.mode, args.format)
 

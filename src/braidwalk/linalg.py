@@ -10,8 +10,8 @@ form_signature is its dense entry: it checks a tuple matrix and hands over
 the upper triangle; the Seifert oracle builds its rows itself and never
 forms a dense matrix.  Both kernels divide only through _divide_exact,
 which refuses a remainder.  rref is the one elimination over Q, with
-Fractions; mat_inverse (and so mat_pow with a negative exponent) is built
-on it.  No floating point anywhere.
+Fractions; nothing here inverts a matrix, so mat_pow takes n >= 0 only.
+No floating point anywhere.
 """
 
 from __future__ import annotations
@@ -53,7 +53,7 @@ def mat_transpose(a: Matrix) -> Matrix:
 
 def mat_pow(a: Matrix, n: int) -> Matrix:
     if n < 0:
-        return mat_pow(mat_inverse(a), -n)
+        raise ValueError("mat_pow needs an exponent n >= 0, got %d" % n)
     result = identity(len(a))
     base = a
     while n:
@@ -65,8 +65,9 @@ def mat_pow(a: Matrix, n: int) -> Matrix:
 
 
 def _divide_exact(x, y):
-    """x / y for a y known to divide x: ints by divmod, LaurentPolys by
-    divide_exact; a nonzero remainder raises ArithmeticError."""
+    """x / y for a y known to divide x: ints by divmod, where a nonzero
+    remainder raises ArithmeticError, and LaurentPolys by divide_exact,
+    where it raises ValueError."""
     if isinstance(x, int):
         q, r = divmod(x, y)
         if r:
@@ -108,17 +109,6 @@ def det_ring(a: Matrix):
         prev = p
     det = m[d - 1][d - 1]
     return det if sign > 0 else -det
-
-
-def mat_inverse(a: Matrix) -> Matrix:
-    """Inverse over Q (entries become Fractions): the right half of
-    rref([a | I]); raises ValueError on a singular matrix."""
-    d = len(a)
-    aug = [list(row) + [int(i == j) for j in range(d)] for i, row in enumerate(a)]
-    rows, pivots = rref(aug)
-    if pivots != list(range(d)):
-        raise ValueError("matrix is singular")
-    return tuple(tuple(row[d:]) for row in rows)
 
 
 def rref(rows: Sequence[Sequence]) -> tuple[list[list[Fraction]], list[int]]:

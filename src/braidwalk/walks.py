@@ -112,10 +112,12 @@ def _atom_images(mu: GenMeasure, rep) -> tuple[np.ndarray, list, int]:
     return mats, wnums, denom
 
 
-def _walk_atoms(mu: GenMeasure, rep, k: int) -> tuple[np.ndarray, list, int]:
+def _walk_atoms(mu: GenMeasure, rep, k: int) -> tuple[np.ndarray, np.ndarray, int]:
     """_atom_images for a walk of k steps, after the checks that the exact DP
     and Monte Carlo share: k >= 0, and k refused when a product of k atom
-    images could leave int64.
+    images could leave int64.  The weight numerators come as an array typed
+    for the walk's counts: int64 while denom^k < 2^63, exact Python ints
+    (object dtype) beyond.
 
     (largest row-sum norm of an atom image)^k bounds every entry and every
     partial sum of such a product, so the check runs before any work.
@@ -129,7 +131,8 @@ def _walk_atoms(mu: GenMeasure, rep, k: int) -> tuple[np.ndarray, list, int]:
         raise ValueError(
             "entries may reach %d^%d >= 2^62, beyond int64 arithmetic" % (norm, k)
         )
-    return mats, wnums, denom
+    dtype = np.int64 if denom ** max(k, 1) < 2 ** 63 else object
+    return mats, np.array(wnums, dtype=dtype), denom
 
 
 def _merge(states: np.ndarray, counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -163,12 +166,6 @@ def _merge(states: np.ndarray, counts: np.ndarray) -> tuple[np.ndarray, np.ndarr
     return states[order[starts]], np.add.reduceat(counts[order], starts)
 
 
-def _count_dtype(denom: int, k: int):
-    """int64 while denom^k < 2^63, exact Python ints (object dtype) beyond."""
-    import numpy as np
-    return np.int64 if denom ** max(k, 1) < 2 ** 63 else object
-
-
 def _laws(mats: np.ndarray, weights: np.ndarray, denom: int, kmax: int, start: np.ndarray):
     """The walk kernel: exact laws of start @ (product of k atom images) for
     k = 0..kmax, from an (m, d) int64 start block.
@@ -177,7 +174,7 @@ def _laws(mats: np.ndarray, weights: np.ndarray, denom: int, kmax: int, start: n
     blocks in lexicographic order and their counts, which sum to
     scale = denom^k.  One step is a batched matmul of every state with every
     atom image, then a sort and a segment sum.  Counts take the dtype of
-    weights, so the caller sizes them for the whole walk.
+    weights, which _walk_atoms sizes for the whole walk.
     """
     import numpy as np
     m, d = start.shape
@@ -193,12 +190,11 @@ def _laws(mats: np.ndarray, weights: np.ndarray, denom: int, kmax: int, start: n
 
 def _walk_laws(mu: GenMeasure, rep, kmax: int):
     """Exact laws of the matrix walk at steps k = 0..kmax: _laws from the
-    identity, with counts int64 while denom^kmax < 2^63 and Python ints
-    beyond; kmax is refused before any work when entries could leave int64.
+    identity with the weights of _walk_atoms, which refuses kmax before any
+    work when entries could leave int64.
     """
     import numpy as np
-    mats, wnums, denom = _walk_atoms(mu, rep, kmax)
-    weights = np.array(wnums, dtype=_count_dtype(denom, kmax))
+    mats, weights, denom = _walk_atoms(mu, rep, kmax)
     return _laws(mats, weights, denom, kmax, np.eye(mats.shape[1], dtype=np.int64))
 
 
@@ -286,8 +282,7 @@ def _entry_series(mu: GenMeasure, rep, kmax: int, entry, test) -> list[Fraction]
     largest weighted pair sum.
     """
     import numpy as np
-    mats, wnums, denom = _walk_atoms(mu, rep, kmax)
-    weights = np.array(wnums, dtype=_count_dtype(denom, kmax))
+    mats, weights, denom = _walk_atoms(mu, rep, kmax)
     eye = np.eye(mats.shape[1], dtype=np.int64)
     i, j = entry
     half = kmax // 2
@@ -362,10 +357,9 @@ def monte_carlo_hitting(
     if trials <= 0:
         raise ValueError("trials must be positive")
     predicate = _checked(predicate)
-    mats, wnums, denom = _walk_atoms(mu, rep, k)
+    mats, weights, denom = _walk_atoms(mu, rep, k)
     d = mats.shape[1]
-    weights = np.array(wnums, dtype=np.float64) / denom
-    cum = np.cumsum(weights)
+    cum = np.cumsum(weights.astype(np.float64) / denom)
     cum[-1] = 1.0
     rng = np.random.default_rng(seed)
     hits_by_step = [0] * (k + 1)

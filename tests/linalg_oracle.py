@@ -4,7 +4,8 @@ form_signature_fraction is symmetric elimination over Q, det_fraction is
 Gaussian elimination over Q and det_laplace is Laplace expansion with
 column-subset memoisation (exponential in the dimension).  They are the
 routes braidwalk.linalg used before its integer kernels; the tests compare
-the two.
+the two.  mat_inverse, the inverse over Q from rref, is test-only: no
+braidwalk route inverts a matrix over Q.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import combinations
 
-from braidwalk.linalg import Matrix
+from braidwalk.linalg import Matrix, rref
 
 
 def det_laplace(a: Matrix):
@@ -108,3 +109,14 @@ def form_signature_fraction(gram: Matrix) -> int:
         for k1 in active:
             m[k1][i] = m[k1][j] = m[i][k1] = m[j][k1] = Fraction(0)
     return sig
+
+
+def mat_inverse(a: Matrix) -> Matrix:
+    """Inverse over Q (entries become Fractions): the right half of
+    rref([a | I]); raises ValueError on a singular matrix."""
+    d = len(a)
+    aug = [list(row) + [int(i == j) for j in range(d)] for i, row in enumerate(a)]
+    rows, pivots = rref(aug)
+    if pivots != list(range(d)):
+        raise ValueError("matrix is singular")
+    return tuple(tuple(row[d:]) for row in rows)

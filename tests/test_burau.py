@@ -234,10 +234,15 @@ def test_column_operations_match_generator_product(w):
     assert burau_matrix(w) == _generator_product(w)
 
 
-def test_burau_eval_matches_specialization():
-    w = BraidWord(3, (1, 2, -1))
+@settings(max_examples=150, deadline=None)
+@given(st.integers(min_value=2, max_value=9).flatmap(lambda n: words(n, 40)))
+@example(BraidWord(3, (1, 2, -1)))
+def test_burau_eval_matches_specialization(w):
+    # both rings of the one column kernel; on 3 strands the t = -1 side is
+    # _minus1_3, so this also ties the Laurent ring to the 3-strand path
     m = tuple(tuple(p.evaluate(-1) for p in row) for row in burau_matrix(w))
     assert m == burau_minus1(w)
+    assert _is_int_matrix(burau_minus1(w))
 
 
 def test_alexander_anchors():

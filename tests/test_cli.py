@@ -227,6 +227,23 @@ def test_lissajous_table_markdown(capsys):
     assert lines[3] == "| % | 100 | 50 |"
 
 
+@pytest.mark.parametrize("fmt", ["csv", "json", "markdown"])
+def test_lissajous_table_refuses_a_qmax_below_every_q(capsys, monkeypatch, tmp_path, fmt):
+    # an empty table printed a header alone (csv, json) or a malformed one
+    def no_work(*args, **kwargs):
+        raise AssertionError("the computation started")
+
+    monkeypatch.setattr(cli, "percentage_table", no_work)
+    target = tmp_path / "table.txt"
+    for qmax in ("4", "-7"):
+        argv = ("lissajous", "table", "--qmax", qmax, "--format", fmt)
+        rc, out, err = run(capsys, *argv)
+        assert rc == 2 and out == ""
+        assert "--qmax %s selects no q; the smallest table q is 5" % qmax in err
+        assert run(capsys, *argv, "--out", str(target)) == (2, "", err)
+    assert not target.exists()
+
+
 @pytest.mark.parametrize("alpha", ["nan", "inf", "-inf"])
 def test_lissajous_sample_refuses_a_non_finite_alpha(capsys, tmp_path, alpha):
     # json.dumps writes NaN, which is not JSON, and math.cos(inf) raises
