@@ -27,9 +27,11 @@ entry polynomial (ENTRY_POLYNOMIALS) maps the element array to N integers,
 so each runs once per array, never once per matrix.
 
 Reductions mod p land in Sp(2l, F_p) (or its projective quotient).  A
-vectorised breadth-first search builds the Cayley table of the subgroup the
-generator images reach; walks on it push exact integer count vectors, and
-zero densities of entry polynomials count over the same enumeration.  Small
+breadth-first search enumerates the subgroup the generator images reach.  It
+holds each matrix as its d row codes (base-p digits) and steps them through
+each generator's row table, the transition map of the row walk r -> r g on
+F_p^d.  Walks on the subgroup push exact integer count vectors, and zero
+densities of entry polynomials count over the same enumeration.  Small
 brute-force enumerations of SL(2, p) and Sp(4, 3) stay as independent checks
 of the closed-form group orders.
 """
@@ -514,16 +516,19 @@ def _check_budget(order: int) -> None:
         )
 
 
-def _codes(mats: np.ndarray, p: int, projective: bool) -> np.ndarray:
-    """Integer key of each reduced d x d matrix: its row-major entries as
-    base-p digits; in projective mode the smaller key of M and -M."""
+def _row_tables(g: np.ndarray, p: int):
+    """Row codes of F_p^d and each generator's action on them.
+
+    vectors[c] is the row whose entries, read as base-p digits with weights
+    place, make c.  steps[k][c] is the code of vectors[c] @ g[k] mod p: the
+    transition map of the row walk r -> r g[k].  Returns (place, vectors,
+    steps).
+    """
     import numpy as np
-    flat = mats.reshape(len(mats), -1)
-    place = p ** np.arange(flat.shape[1] - 1, -1, -1, dtype=np.int64)
-    codes = flat @ place
-    if projective:
-        codes = np.minimum(codes, (-flat % p) @ place)
-    return codes
+    d = g.shape[-1]
+    place = p ** np.arange(d - 1, -1, -1, dtype=np.int64)
+    vectors = np.arange(p ** d, dtype=np.int64)[:, None] // place % p
+    return place, vectors, vectors @ g % p @ place
 
 
 def _cayley_table(gens: list, p: int, projective: bool):
@@ -531,9 +536,14 @@ def _cayley_table(gens: list, p: int, projective: bool):
 
     Breadth-first search from the identity by right multiplication; in a
     finite group the products of generators already form the subgroup, so no
-    inverses are needed.  Returns (codes, elements, tables): the element keys
-    sorted ascending, the (size, d, d) array of elements in that order, and
-    for each generator g the index array i -> index of elements[i] @ g.
+    inverses are needed.  A matrix is held as its d row codes (_row_tables),
+    and the row codes of M @ g are steps[g][rows of M], so each level of the
+    search is one gather through the generators' row tables.  A matrix's key
+    is rows @ place^d, its row-major entries as base-p digits; in projective
+    mode the smaller key of M and -M.  Returns (codes, elements, products,
+    start): the element keys sorted ascending, the (size, d, d) array of
+    elements in that order, the (size, len(gens)) keys of elements[i] @ g,
+    and the index of the identity.
     """
     import numpy as np
     d = len(gens[0])
@@ -543,14 +553,22 @@ def _cayley_table(gens: list, p: int, projective: bool):
     j = np.array(intersection_form(d), dtype=np.int64)
     if ((g.transpose(0, 2, 1) @ j @ g - j) % p).any():
         raise ValueError("generator images are not symplectic mod %d" % p)
-    frontier = np.eye(d, dtype=np.int64)[None]
-    seen = _codes(frontier, p, projective)
+    place, vectors, steps = _row_tables(g, p)
+    weights = place ** d
+    negate = (-vectors % p) @ place
+
+    def keys(rows):
+        key = rows @ weights
+        return np.minimum(key, negate[rows] @ weights) if projective else key
+
+    frontier = place[None]  # the identity: row i is e_i, whose code is place[i]
+    seen = keys(frontier)
     parts, products = [], []
     while len(frontier):
-        cand = frontier[:, None] @ g[None]
-        cand = np.remainder(cand, p, out=cand).reshape(-1, d, d)
-        cand_codes = _codes(cand, p, projective)
-        # row i: the keys of frontier[i] @ g, one column per generator g
+        # frontier-major (matrix, generator) order: in projective mode the first
+        # occurrence of a key decides which of M and -M is kept
+        cand = steps[:, frontier].swapaxes(0, 1).reshape(-1, d)
+        cand_codes = keys(cand)
         products.append(cand_codes.reshape(len(frontier), len(g)))
         parts.append(frontier)
         codes, first = np.unique(cand_codes, return_index=True)
@@ -558,11 +576,8 @@ def _cayley_table(gens: list, p: int, projective: bool):
         frontier = cand[first[new]]
         seen = np.concatenate([seen, codes[new]])
     order = np.argsort(seen)
-    codes = seen[order]
-    elements = np.concatenate(parts)[order]
-    products = np.concatenate(products)[order]
-    tables = [np.searchsorted(codes, column) for column in products.T]
-    return codes, elements, tables
+    elements = vectors[np.concatenate(parts)[order]]
+    return seen[order], elements, np.concatenate(products)[order], int(order.argmin())
 
 
 # entry polynomials on the (N, d, d) element array, one value per element
@@ -595,7 +610,7 @@ def zero_density(poly: str, l: int, p: int) -> Fraction:
     gens = [burau_minus1(BraidWord(2 * l + 1, (i,))) for i in range(1, 2 * l + 1)]
     if l > 1:
         gens.append(_SP4_TRANSVECTION)
-    _, elements, _ = _cayley_table(gens, p, projective=False)
+    _, elements, _, _ = _cayley_table(gens, p, projective=False)
     if len(elements) != order:
         raise RuntimeError(
             "generators reach %d of the %d elements of Sp(%d, %d)"
@@ -641,12 +656,11 @@ def finite_walk_tv(
     _check_budget(order)
 
     mats, wnums, denom = _atom_images(mu, symplectic_image)
-    d = mats.shape[1]
-    codes, elements, tables = _cayley_table(mats, p, projective)
-    size = len(elements)
+    codes, _, products, start = _cayley_table(mats, p, projective)
+    size = len(codes)
     # new[table[i]] += w * old[i], i.e. a gather through the inverse permutation
-    pushes = [(wnum, np.argsort(table)) for wnum, table in zip(wnums, tables)]
-    start = np.searchsorted(codes, _codes(np.eye(d, dtype=np.int64)[None], p, projective))
+    pushes = [(wnum, np.argsort(np.searchsorted(codes, column)))
+              for wnum, column in zip(wnums, products.T)]
     counts = np.zeros(size, dtype=object)  # exact Python ints: denom^k overflows int64
     counts[start] = 1
     tv = []

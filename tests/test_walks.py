@@ -1,6 +1,7 @@
 """Random walks on braid images: exact laws, hitting series, finite quotients."""
 
 import time
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -9,7 +10,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from braidwalk import walks
 from braidwalk.braid import BraidWord
-from braidwalk.burau import burau_minus1, symplectic_image
+from braidwalk.burau import burau_minus1, intersection_form, symplectic_image
 from braidwalk.linalg import identity
 from braidwalk.walks import (
     ENTRY_POLYNOMIALS,
@@ -330,6 +331,105 @@ def test_finite_walk_tv_matches_dict_oracle(mu, p, projective, steps):
     assert fast.generated == slow.generated
     if mu is NON_GENERATING:
         assert not fast.generated and fast.tv[-1] > 0
+
+
+@dataclass(frozen=True)
+class Mod2Matrix:
+    """Matrix over F_2 with FpMatrix's product rule; FpMatrix takes odd p only."""
+
+    entries: tuple
+
+    def matmul(self, other: "Mod2Matrix") -> "Mod2Matrix":
+        return Mod2Matrix(tuple(
+            tuple(sum(x * y for x, y in zip(row, col)) % 2 for col in zip(*other.entries))
+            for row in self.entries
+        ))
+
+
+def _oracle_element(m, p, projective):
+    if p == 2:
+        return Mod2Matrix(tuple(tuple(x % 2 for x in row) for row in m))
+    return reduce_mod_p(m, p, projective)
+
+
+def _key(entries, p):
+    """Row-major entries as base-p digits, the first most significant."""
+    key = 0
+    for x in (x for row in entries for x in row):
+        key = key * p + x
+    return key
+
+
+# generator images for the Cayley search: SL(2, p) from the 3-strand walk,
+# Sp(4, p) as zero_density builds it, and the sigma_1^(+-1) subgroup
+CAYLEY_GENS = {
+    "sl2": [symplectic_image(word) for word, _ in MU3.atoms],
+    "sp4": [burau_minus1(BraidWord(5, (i,))) for i in range(1, 5)] + [walks._SP4_TRANSVECTION],
+    "unipotent": [symplectic_image(word) for word, _ in NON_GENERATING.atoms],
+}
+
+
+@pytest.mark.parametrize("group,p,projective", [
+    *[("sl2", p, projective) for p in (3, 5, 7, 11, 13) for projective in (False, True)],
+    ("sp4", 2, False),
+    *[("unipotent", p, projective) for p in (3, 7) for projective in (False, True)],
+])
+def test_cayley_table_matches_set_search(group, p, projective):
+    gens = CAYLEY_GENS[group]
+    codes, elements, products, start = walks._cayley_table(gens, p, projective)
+    fp_gens = [_oracle_element(g, p, projective) for g in gens]
+    found = [_oracle_element(m, p, projective) for m in elements.tolist()]
+    assert set(found) == fp_oracle._semigroup_closure(fp_gens, MAX_GROUP_ORDER)
+    assert len(set(found)) == len(found)
+    # the key of an element is its canonical entries as base-p digits, sorted
+    assert codes.tolist() == [_key(x.entries, p) for x in found] == sorted(codes.tolist())
+    assert found[start] == _oracle_element(identity(len(gens[0])), p, projective)
+    index = {x: i for i, x in enumerate(found)}
+    for k, g in enumerate(fp_gens):
+        table = np.searchsorted(codes, products[:, k])
+        assert table.tolist() == [index[x.matmul(g)] for x in found]
+    if group == "sp4":
+        assert set(found) == {Mod2Matrix(m) for m in enumerate_sp4(2)}
+
+
+@pytest.mark.parametrize("projective", [False, True])
+def test_cayley_table_sp4_3_is_the_group(projective):
+    codes, elements, products, start = walks._cayley_table(CAYLEY_GENS["sp4"], 3, projective)
+    assert len(codes) == len(elements) == (psp_order if projective else sp_order)(2, 3)
+    assert (np.diff(codes) > 0).all()
+    j = np.array(intersection_form(4), dtype=np.int64)
+    assert not ((elements.transpose(0, 2, 1) @ j @ elements - j) % 3).any()
+    assert (elements[start] % 3 == np.eye(4, dtype=np.int64)).all()
+    # every product lands in the group: each generator permutes the elements
+    for column in products.T:
+        table = np.searchsorted(codes, column)
+        assert (codes[table] == column).all()
+        assert (np.sort(table) == np.arange(len(codes))).all()
+
+
+@given(st.sampled_from([2, 3, 5, 7]), st.data())
+@settings(max_examples=40, deadline=None)
+def test_row_table_is_the_row_walk_transition(p, data):
+    strands = data.draw(st.integers(min_value=3, max_value=6))
+    letter = st.integers(min_value=1, max_value=strands - 1).flatmap(
+        lambda i: st.sampled_from([i, -i]))
+    words = data.draw(st.lists(st.lists(letter, max_size=12), min_size=1, max_size=3))
+    g = np.array([symplectic_image(BraidWord(strands, w)) for w in words], dtype=np.int64)
+    d = g.shape[-1]
+    place, vectors, steps = walks._row_tables(g, p)
+    assert steps.shape == (len(words), p ** d)
+    assert (vectors @ place == np.arange(p ** d)).all()
+    for table in steps:
+        assert table[0] == 0
+        assert (np.sort(table) == np.arange(p ** d)).all()
+    rows = data.draw(st.lists(st.lists(st.integers(min_value=0, max_value=p - 1),
+                                       min_size=d, max_size=d), min_size=1, max_size=8))
+    for row in rows:
+        code = _key([row], p)
+        assert vectors[code].tolist() == row
+        for table, m in zip(steps, g.tolist()):
+            image = [sum(x * m[i][j] for i, x in enumerate(row)) % p for j in range(d)]
+            assert table[code] == _key([image], p)
 
 
 def _skewed(strands):
