@@ -2,7 +2,7 @@
 Meyer cocycle, random walks on braid and symplectic groups, and the braid
 classification behind Lissajous toric knots."""
 
-from .braid import BraidWord, closure_components, concat, conjugate, inverse, parse_word, format_word, permutation, writhe
+from .braid import BraidWord, closure_components, concat, inverse, parse_word, format_word, permutation, writhe
 from .burau import (
     alexander_at_minus1,
     alexander_poly,
@@ -68,7 +68,6 @@ __all__ = [
     "classify",
     "closure_components",
     "concat",
-    "conjugate",
     "finite_walk_tv",
     "format_word",
     "gg_signature",

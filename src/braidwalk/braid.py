@@ -99,11 +99,6 @@ def inverse(w: BraidWord) -> BraidWord:
     return BraidWord(w.strands, tuple(-g for g in reversed(w.letters)))
 
 
-def conjugate(w: BraidWord, by: BraidWord) -> BraidWord:
-    # by * w * by^-1
-    return concat(concat(by, w), inverse(by))
-
-
 def permutation(w: BraidWord) -> tuple[int, ...]:
     """Underlying permutation as an image tuple: strand starting at
     position i (0-based) ends at position permutation(w)[i].

@@ -93,10 +93,6 @@ class LaurentPoly:
         """Multiply by t^k."""
         return LaurentPoly({e + k: v for e, v in self.coeffs.items()})
 
-    def substitute_inverse(self) -> "LaurentPoly":
-        """t -> 1/t."""
-        return LaurentPoly({-e: v for e, v in self.coeffs.items()})
-
     def evaluate(self, value: Fraction | int) -> Fraction:
         total = Fraction(0)
         v = Fraction(value)

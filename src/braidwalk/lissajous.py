@@ -10,8 +10,11 @@ braid are implemented:
 * a combinatorial one driven by the sign sequence lambda(k), giving a
   quasipositive word (Q sigma_2 Q^-1) sigma_1 built from an alternating
   word Q, and
-* a geometric one that sweeps the parametrised curve through its exact
-  crossing angles (braid_from_parametrization).
+* a geometric one that sweeps the parametrised curve through its
+  crossings in integers (braid_from_parametrization): crossing angles on
+  the scale 2q, the starting strand order on the scale 12, and each
+  over/under sign from one divmod.  Floats appear only in sample_polyline,
+  the curve's points for plotting.
 
 Classification goes through the Burau image at t = -1 of the half word P:
 its top row decides whether every power of the braid has zero signature
@@ -234,50 +237,56 @@ def percentage_table(qs=None, mode: str = "literal") -> list:
 
 
 def _crossing_events(q: int, p: int):
-    """Exact crossing angles of the 3-braid of the (q, p) curve.
+    """Crossing events of the 3-braid of the (q, p) curve, on the integer
+    scale t = 2q phi/pi.
 
     At braid angle phi the three strands sit at theta_j = (phi + 2 pi j)/3
     with radial offset sin(q theta_j); strands i < j cross exactly when
     q(theta_i + theta_j) is an odd multiple of pi, i.e. at
-    phi/pi = ((2m + 1) 3 - 2 q (i + j)) / (2 q) for integer m.  Distinct
-    events never share an angle since gcd(q, 3) = 1.
+    t = 3(2m + 1) - 2q(i + j) for integer m.  Distinct events never share
+    an angle since gcd(q, 3) = 1.
 
-    Yields (phi/pi as a Fraction in [0, 2), i, j, m).
+    Yields (t, i, j, m) for every t in [0, 4q), that is phi in [0, 2 pi).
     """
-    for i in range(3):
-        for j in range(i + 1, 3):
-            # 0 <= (2m+1)*3 - 2q(i+j) < 4q
-            lo = 2 * q * (i + j)
-            m = (lo // 3 - 1) // 2 - 1
-            while True:
-                m += 1
-                top = (2 * m + 1) * 3 - lo
-                if top < 0:
-                    continue
-                if top >= 4 * q:
-                    break
-                yield Fraction(top, 2 * q), i, j, m
+    for i, j in ((0, 1), (0, 2), (1, 2)):
+        lo = 2 * q * (i + j)
+        # 0 <= 3(2m + 1) - lo < 4q
+        for m in range(-((3 - lo) // 6), -((3 - lo - 4 * q) // 6)):
+            yield 3 * (2 * m + 1) - lo, i, j, m
 
 
-def _sin_sign(u: Fraction) -> int:
-    """Sign of sin(pi u) for rational u, exactly; 0 on integers."""
-    u = u % 2
-    if u == 0 or u == 1:
-        return 0
-    return 1 if u < 1 else -1
+def _sin_sign(num: int, den: int) -> int:
+    """Sign of sin(pi num/den) for den > 0: 0 when den divides num, else
+    (-1)^floor(num/den)."""
+    whole, rest = divmod(num, den)
+    return 0 if rest == 0 else -1 if whole % 2 else 1
+
+
+def _radial_rank(n: int) -> int:
+    """The triangle wave |(n - 6) mod 24 - 12|, which orders the integers n
+    as sin(pi n/12) does: 12 at the crest n = 6, 0 at the trough n = 18."""
+    return abs((n - 6) % 24 - 12)
 
 
 def braid_from_parametrization(q: int, p: int) -> BraidWord:
-    """Read the 3-braid straight off the parametrised curve.
+    """Read the 3-braid straight off the parametrised curve, in integers.
 
-    Crossing angles are enumerated exactly; over/under at each crossing is
-    the sign of z_i - z_j = -2 sin(pi u) sin(pi p (i - j)/3) with
-    u = p(2m + 1)/(2q) + alpha/pi, evaluated exactly for the height shift
-    alpha/pi = 1/(4qp + 1).  No crossing sits at equal heights: for an
-    integer u, 1/(4qp + 1) = u - p(2m + 1)/(2q) would have a denominator
-    dividing 2q < 4qp + 1, and 3 divides neither p nor i - j.  The strand
-    order is tracked through the sweep, with each event required to swap
-    adjacent strands.
+    Crossings are enumerated on the scale 2q (_crossing_events).  The
+    starting left-to-right order is the order of the radial offsets
+    sin(q theta_j) halfway between the last event (one turn back) and the
+    first, where q theta_j/pi = n_j/12 on the scale 12 with
+    n_j = t_first + t_last - 4q + 8qj; _radial_rank sorts the n_j exactly,
+    and no two strands are level there since no event lies between.
+    Over/under at each crossing is the sign of
+    z_i - z_j = -2 sin(pi u) sin(pi p (i - j)/3), where
+    u = p(2m + 1)/(2q) + alpha/pi = N/D with the height shift
+    alpha/pi = 1/(4qp + 1), N = p(2m + 1)(4qp + 1) + 2q and
+    D = 2q(4qp + 1): sin(pi u) is 0 when D | N and has the sign
+    (-1)^floor(N/D) otherwise (_sin_sign).  D never divides N: an integer
+    u would make 1/(4qp + 1) = u - p(2m + 1)/(2q) a fraction with
+    denominator dividing 2q < 4qp + 1; and 3 divides neither p nor i - j.
+    The strand order is tracked through the sweep, with each event
+    required to swap adjacent strands.
     """
     # unlike the lambda route, the sweep does not need q odd, only the
     # crossing structure to be generic and the closure to be a knot
@@ -287,23 +296,11 @@ def braid_from_parametrization(q: int, p: int) -> BraidWord:
         raise ValueError("q and p must be prime to 3")
     if gcd(q, p) != 1:
         raise ValueError("q and p must be coprime")
-    alpha = Fraction(1, 4 * q * p + 1)
 
     events = sorted(_crossing_events(q, p))
-    angles = [e[0] for e in events]
-    if len(set(angles)) != len(angles):
-        raise RuntimeError("simultaneous crossings at gcd(q, 3) = 1?")
-
-    # initial left-to-right order, by radial coordinate just before the
-    # first event (floats; events are well separated there)
-    first = float(angles[0])
-    prev = float(angles[-1]) - 2.0
-    phi0 = (first + prev) / 2 * pi
-    radial = [(sin(q * (phi0 + 2 * pi * jj) / 3), jj) for jj in range(3)]
-    radial.sort()
-    if radial[1][0] - radial[0][0] < 1e-9 or radial[2][0] - radial[1][0] < 1e-9:
-        raise RuntimeError("initial strand order is numerically ambiguous")
-    order = [jj for _, jj in radial]
+    n0 = events[0][0] + events[-1][0] - 4 * q
+    order = sorted(range(3), key=lambda j: _radial_rank(n0 + 8 * q * j))
+    h = 4 * q * p + 1  # the height shift is alpha/pi = 1/h
 
     letters = []
     for _, i, j, m in events:
@@ -315,9 +312,8 @@ def braid_from_parametrization(q: int, p: int) -> BraidWord:
             )
         k = min(pos_i, pos_j)
         left, right = order[k], order[k + 1]
-        u = Fraction(p * (2 * m + 1), 2 * q) + alpha
-        v = Fraction(p * (left - right), 3)
-        z_left_minus_right = -_sin_sign(u) * _sin_sign(v)
+        u_sign = _sin_sign(p * (2 * m + 1) * h + 2 * q, 2 * q * h)
+        z_left_minus_right = -u_sign * _sin_sign(p * (left - right), 3)
         if z_left_minus_right == 0:
             raise RuntimeError("crossing at equal heights in (%d, %d)" % (q, p))
         letters.append((k + 1) * z_left_minus_right)

