@@ -33,9 +33,10 @@ breadth-first search enumerates the subgroup the generator images reach.  It
 holds each matrix as its d row codes (base-p digits) and steps them through
 each generator's row table, the transition map of the row walk r -> r g on
 F_p^d.  Walks on the subgroup push exact integer count vectors, and zero
-densities of entry polynomials count over the same enumeration.  Small
-brute-force enumerations of SL(2, p) and Sp(4, 3) stay as independent checks
-of the closed-form group orders.
+densities of entry polynomials count over the same enumeration.  One
+brute-force enumeration, a column search on the form J under the same group
+order budget, checks the closed-form group orders and the search's element
+sets without using any generator.
 """
 
 from __future__ import annotations
@@ -367,6 +368,8 @@ def monte_carlo_hitting(
     import numpy as np
     if trials <= 0:
         raise ValueError("trials must be positive")
+    if seed < 0:
+        raise ValueError("seed must be >= 0, got %d" % seed)
     predicate = _checked(predicate)
     mats, weights, denom = _walk_atoms(mu, rep, k)
     d = mats.shape[1]
@@ -434,88 +437,10 @@ def psp_order(l: int, p: int) -> int:
     return order if p == 2 else order // 2
 
 
-def enumerate_sl2(p: int):
-    """All of SL(2, p) as nested tuples, by brute force; p^4 determinant checks."""
-    if not _is_prime(p):
-        raise ValueError("%d is not prime" % p)
-    if p > 13:
-        raise ValueError("brute force capped at p <= 13")
-    rng = range(p)
-    for a in rng:
-        for b in rng:
-            for c in rng:
-                for d in rng:
-                    if (a * d - b * c) % p == 1:
-                        yield ((a, b), (c, d))
-
-
-def enumerate_sp4(p: int):
-    """All of Sp(4, p) w.r.t. the tridiagonal form J, by depth-first search.
-
-    Columns c1..c4 are chosen in F_p^4 subject to <c_i, c_j> = J_ij for i < j,
-    where <x, y> = sum J_ab x_a y_b.  Feasible only for tiny p.
-    """
-    if not _is_prime(p):
-        raise ValueError("%d is not prime" % p)
-    if p > 3:
-        raise ValueError("brute force capped at p <= 3")
-    j = intersection_form(4)
-    vecs = [
-        (a, b, c, d)
-        for a in range(p)
-        for b in range(p)
-        for c in range(p)
-        for d in range(p)
-    ]
-
-    def pairing(x, y):
-        return (
-            x[0] * y[1] - x[1] * y[0]
-            + x[1] * y[2] - x[2] * y[1]
-            + x[2] * y[3] - x[3] * y[2]
-        ) % p
-
-    targets = {(a, b): j[a][b] % p for a in range(4) for b in range(4)}
-
-    cols: list = [None] * 4
-
-    def extend(idx):
-        for v in vecs:
-            ok = True
-            for prev in range(idx):
-                if pairing(cols[prev], v) != targets[(prev, idx)]:
-                    ok = False
-                    break
-            if not ok:
-                continue
-            cols[idx] = v
-            if idx == 3:
-                yield tuple(
-                    tuple(cols[jj][ii] for jj in range(4)) for ii in range(4)
-                )
-            else:
-                yield from extend(idx + 1)
-        cols[idx] = None
-
-    yield from extend(0)
-
-
-def count_group_bruteforce(l: int, p: int) -> int:
-    """Independent head count of Sp(2l, p) for the tiny cases."""
-    if l == 1:
-        return sum(1 for _ in enumerate_sl2(p))
-    if l == 2:
-        return sum(1 for _ in enumerate_sp4(p))
-    raise ValueError("brute force only for l in {1, 2}")
-
-
-# ---------------------------------------------------------------------------
-# finite quotients on an indexed Cayley table
-
-
 MAX_GROUP_ORDER = 100_000
-"""Largest group order, |Sp(2l, F_p)| or |PSp(2l, F_p)|, that finite_walk_tv
-and zero_density enumerate; a larger one is refused before any allocation."""
+"""Largest group order, |Sp(2l, F_p)| or |PSp(2l, F_p)|, that finite_walk_tv,
+zero_density and enumerate_sp enumerate; a larger one is refused before any
+allocation."""
 
 
 def _check_budget(order: int) -> None:
@@ -523,6 +448,45 @@ def _check_budget(order: int) -> None:
         raise ValueError(
             "group order %d exceeds MAX_GROUP_ORDER = %d" % (order, MAX_GROUP_ORDER)
         )
+
+
+def enumerate_sp(l: int, p: int):
+    """All of Sp(2l, F_p) w.r.t. J = intersection_form(2l), as nested tuples,
+    by a depth-first search over columns.
+
+    Column c_k is any vector of F_p^(2l) with c_i^T J c_k = J[i][k] mod p
+    for every earlier column c_i; for l = 1 that is det = 1.  Each level
+    filters all p^(2l) vectors at once against the stacked forms c_i^T J.
+    No generators enter, so the count checks sp_order and the element set
+    checks the Cayley search.  An order above MAX_GROUP_ORDER is refused
+    at the call, before any allocation.
+    """
+    import numpy as np
+    _check_budget(sp_order(l, p))
+    d = 2 * l
+    j = np.array(intersection_form(d), dtype=np.int64)
+    vectors = np.indices((p,) * d).reshape(d, -1).T
+
+    def extend(cols):
+        k = len(cols)
+        if k == d:
+            yield tuple(zip(*cols))
+            return
+        forms = np.array(cols, dtype=np.int64).reshape(k, d) @ j
+        fits = ((vectors @ forms.T - j[:k, k]) % p == 0).all(axis=1)
+        for column in vectors[fits].tolist():
+            yield from extend(cols + [column])
+
+    return extend([])
+
+
+def count_group_bruteforce(l: int, p: int) -> int:
+    """|Sp(2l, F_p)| by head count of enumerate_sp."""
+    return sum(1 for _ in enumerate_sp(l, p))
+
+
+# ---------------------------------------------------------------------------
+# finite quotients on an indexed Cayley table
 
 
 def _row_tables(g: np.ndarray, p: int):

@@ -118,6 +118,12 @@ def test_walk_monte_carlo_is_one_run(capsys):
         assert dec == "%.6f" % (hits / 3000)
 
 
+def test_walk_monte_carlo_refuses_negative_seed(capsys):
+    rc, out, err = run(capsys, "walk", "--steps", "3", "--seed", "-1")
+    assert rc == 2 and out == ""
+    assert err == "braidwalk: computation error: seed must be >= 0, got -1\n"
+
+
 def test_walk_exact_refuses_entry_overflow(capsys):
     start = time.monotonic()
     rc, _, err = run(capsys, "walk", "--exact", "--strands", "5", "--steps", "40")

@@ -17,8 +17,7 @@ from braidwalk.walks import (
     GenMeasure,
     MAX_GROUP_ORDER,
     count_group_bruteforce,
-    enumerate_sl2,
-    enumerate_sp4,
+    enumerate_sp,
     finite_walk_tv,
     _entry_predicate,
     _walk_laws,
@@ -148,6 +147,8 @@ def test_monte_carlo_validation():
         monte_carlo_hitting(MU3, "z11", 3, trials=0)
     with pytest.raises(ValueError):
         monte_carlo_hitting(MU3, "no-such-predicate", 3, trials=10)
+    with pytest.raises(ValueError, match=r"seed must be >= 0, got -1"):
+        monte_carlo_hitting(MU3, "z11", 3, trials=10, seed=-1)
 
 
 @pytest.mark.parametrize("predicate", [
@@ -201,9 +202,41 @@ def test_sp_orders():
         sp_order(0, 5)
 
 
+# every (l, p) whose Sp(2l, F_p) fits MAX_GROUP_ORDER: l = 1 with p <= 43,
+# and l = 2 with p <= 3; Sp(6, 2) is already too large
+PRIMES = [p for p in range(2, 60) if all(p % f for f in range(2, p))]
+IN_BUDGET = [(l, p) for l in (1, 2, 3) for p in PRIMES if sp_order(l, p) <= MAX_GROUP_ORDER]
+
+
 def test_bruteforce_counts_match_formula():
-    assert count_group_bruteforce(1, 3) == sp_order(1, 3)
-    assert count_group_bruteforce(1, 5) == sp_order(1, 5)
+    assert IN_BUDGET == [(1, p) for p in PRIMES if p <= 43] + [(2, 2), (2, 3)]
+    for l, p in IN_BUDGET:
+        assert count_group_bruteforce(l, p) == sp_order(l, p), (l, p)
+
+
+@pytest.mark.parametrize("l,p", IN_BUDGET)
+def test_bruteforce_matches_cayley_table(l, p):
+    # the generators zero_density builds, through the same search
+    gens = [burau_minus1(BraidWord(2 * l + 1, (i,))) for i in range(1, 2 * l + 1)]
+    if l > 1:
+        gens.append(walks._SP4_TRANSVECTION)
+    _, elements, _, _ = walks._cayley_table(gens, p, projective=False)
+    found = {tuple(map(tuple, m)) for m in elements.tolist()}
+    group = list(enumerate_sp(l, p))
+    assert len(group) == len(set(group))
+    assert set(group) == found
+
+
+@pytest.mark.parametrize("l,p", [(1, 47), (2, 5), (3, 2), (1, 9), (0, 5)])
+def test_bruteforce_refused_before_enumeration(l, p, monkeypatch):
+    def no_vectors(*args, **kwargs):
+        raise AssertionError("vectors allocated for a refused group")
+
+    monkeypatch.setattr(np, "indices", no_vectors)
+    with pytest.raises(ValueError, match="MAX_GROUP_ORDER|prime|l must be"):
+        enumerate_sp(l, p)  # refused at the call, with no iteration
+    with pytest.raises(ValueError):
+        count_group_bruteforce(l, p)
 
 
 def test_zero_density_anchors():
@@ -236,9 +269,9 @@ TUPLE_POLYNOMIALS = {
 
 
 @pytest.mark.parametrize("l,p", [(1, 2), (1, 3), (1, 5), (1, 7), (1, 11), (1, 13),
-                                 (2, 2), (2, 3)])
+                                 (1, 43), (2, 2), (2, 3)])
 def test_zero_density_matches_bruteforce_count(l, p):
-    group = list(enumerate_sl2(p) if l == 1 else enumerate_sp4(p))
+    group = list(enumerate_sp(l, p))
     assert len(group) == sp_order(l, p)
     assert set(TUPLE_POLYNOMIALS) == set(ENTRY_POLYNOMIALS)
     for name, poly in TUPLE_POLYNOMIALS.items():
@@ -389,7 +422,7 @@ def test_cayley_table_matches_set_search(group, p, projective):
         table = np.searchsorted(codes, products[:, k])
         assert table.tolist() == [index[x.matmul(g)] for x in found]
     if group == "sp4":
-        assert set(found) == {Mod2Matrix(m) for m in enumerate_sp4(2)}
+        assert set(found) == {Mod2Matrix(m) for m in enumerate_sp(2, 2)}
 
 
 @pytest.mark.parametrize("projective", [False, True])
