@@ -25,18 +25,18 @@ predicate (PREDICATES) maps an (N, d, d) int64 array to N booleans (an
 entry predicate also carries its entry and its test on entries) and an
 entry polynomial (ENTRY_POLYNOMIALS) maps the element array to N integers,
 so each runs once per array.  The one exception is "det-1", which calls
-det_ring once per element: about 0.6 s of the 0.7 s that
-zero_density("det-1", 2, 3) takes on Sp(4, 3) on a 2-core x86-64 VM.
+det_ring once per element: nearly all of the 0.4-0.6 s that
+zero_density("det-1", 2, 3) takes on Sp(4, 3) on a 2-core x86-64 VM, where
+"m11" takes 0.015 s.
 
-Reductions mod p land in Sp(2l, F_p) (or its projective quotient).  A
-breadth-first search enumerates the subgroup the generator images reach.  It
-holds each matrix as its d row codes (base-p digits) and steps them through
-each generator's row table, the transition map of the row walk r -> r g on
-F_p^d.  Walks on the subgroup push exact integer count vectors, and zero
-densities of entry polynomials count over the same enumeration.  One
-brute-force enumeration, a column search on the form J under the same group
-order budget, checks the closed-form group orders and the search's element
-sets without using any generator.
+Reductions mod p land in Sp(2l, F_p) (or its projective quotient).  One
+enumeration lists the whole group, sorted by key: a column search on the
+form J that uses no generator, so its count checks the closed-form order.
+Each support image of a walk acts on that list as a permutation, found by
+searchsorted on the keys of the products; walks push exact integer count
+vectors through the permutations, a reachability pass over them says
+whether the images generate the group, and zero densities of entry
+polynomials count over the same list.
 """
 
 from __future__ import annotations
@@ -450,107 +450,58 @@ def _check_budget(order: int) -> None:
         )
 
 
-def enumerate_sp(l: int, p: int):
-    """All of Sp(2l, F_p) w.r.t. J = intersection_form(2l), as nested tuples,
-    by a depth-first search over columns.
+def _symplectic_group(l: int, p: int) -> np.ndarray:
+    """All of Sp(2l, F_p) w.r.t. J = intersection_form(2l), as an
+    (order, 2l, 2l) int64 array, by a search over columns.
 
     Column c_k is any vector of F_p^(2l) with c_i^T J c_k = J[i][k] mod p
-    for every earlier column c_i; for l = 1 that is det = 1.  Each level
-    filters all p^(2l) vectors at once against the stacked forms c_i^T J.
-    No generators enter, so the count checks sp_order and the element set
-    checks the Cayley search.  An order above MAX_GROUP_ORDER is refused
-    at the call, before any allocation.
+    for every earlier column c_i; for l = 1 that is det = 1.  A vector is
+    named by its code, its entries as base-p digits, and pair[u, v] =
+    u^T J v mod p is tabulated once over all codes, so each level extends
+    every column prefix at once by a running AND over rows of pair.
+    np.nonzero keeps the prefixes in lexicographic order of their codes, so
+    the elements come out sorted by their column-major entries read as
+    base-p digits.  No generator enters.  The caller checks the budget.
     """
     import numpy as np
-    _check_budget(sp_order(l, p))
     d = 2 * l
-    j = np.array(intersection_form(d), dtype=np.int64)
-    vectors = np.indices((p,) * d).reshape(d, -1).T
+    form = intersection_form(d)
+    j = np.array(form, dtype=np.int16)
+    place = p ** np.arange(d - 1, -1, -1, dtype=np.int64)
+    vectors = np.arange(p ** d, dtype=np.int64)[:, None] // place % p
+    # |u^T J v| <= (sum of |J|) (p - 1)^2 = 2 (2l - 1) (p - 1)^2, at most
+    # 5408 (l = 1, p = 53) on the groups within 2 * MAX_GROUP_ORDER, the
+    # projective budget, so int16 holds the products and uint8 their residues
+    assert int(np.abs(j).sum()) * (p - 1) ** 2 < 2 ** 15
+    pair = (vectors.astype(np.int16) @ j @ vectors.T.astype(np.int16) % p).astype(np.uint8)
+    prefixes = np.zeros((1, 0), dtype=np.int64)
+    for k in range(d):
+        fits = np.ones((len(prefixes), len(vectors)), dtype=bool)
+        for i in range(k):
+            fits &= pair[prefixes[:, i]] == form[i][k] % p
+        rows, column = np.nonzero(fits)
+        prefixes = np.column_stack([prefixes[rows], column])
+    return vectors[prefixes].transpose(0, 2, 1)
 
-    def extend(cols):
-        k = len(cols)
-        if k == d:
-            yield tuple(zip(*cols))
-            return
-        forms = np.array(cols, dtype=np.int64).reshape(k, d) @ j
-        fits = ((vectors @ forms.T - j[:k, k]) % p == 0).all(axis=1)
-        for column in vectors[fits].tolist():
-            yield from extend(cols + [column])
 
-    return extend([])
+def enumerate_sp(l: int, p: int) -> np.ndarray:
+    """All of Sp(2l, F_p) w.r.t. J = intersection_form(2l), as the
+    (order, 2l, 2l) int64 array of _symplectic_group: a column search that
+    uses no generator, so its count checks sp_order.  An order above
+    MAX_GROUP_ORDER, a composite p or l < 1 is refused at the call, before
+    any allocation.
+    """
+    _check_budget(sp_order(l, p))
+    return _symplectic_group(l, p)
 
 
 def count_group_bruteforce(l: int, p: int) -> int:
     """|Sp(2l, F_p)| by head count of enumerate_sp."""
-    return sum(1 for _ in enumerate_sp(l, p))
+    return len(enumerate_sp(l, p))
 
 
 # ---------------------------------------------------------------------------
-# finite quotients on an indexed Cayley table
-
-
-def _row_tables(g: np.ndarray, p: int):
-    """Row codes of F_p^d and each generator's action on them.
-
-    vectors[c] is the row whose entries, read as base-p digits with weights
-    place, make c.  steps[k][c] is the code of vectors[c] @ g[k] mod p: the
-    transition map of the row walk r -> r g[k].  Returns (place, vectors,
-    steps).
-    """
-    import numpy as np
-    d = g.shape[-1]
-    place = p ** np.arange(d - 1, -1, -1, dtype=np.int64)
-    vectors = np.arange(p ** d, dtype=np.int64)[:, None] // place % p
-    return place, vectors, vectors @ g % p @ place
-
-
-def _cayley_table(gens: list, p: int, projective: bool):
-    """Subgroup of Sp(d, F_p) (mod -I if projective) generated by gens.
-
-    Breadth-first search from the identity by right multiplication; in a
-    finite group the products of generators already form the subgroup, so no
-    inverses are needed.  A matrix is held as its d row codes (_row_tables),
-    and the row codes of M @ g are steps[g][rows of M], so each level of the
-    search is one gather through the generators' row tables.  A matrix's key
-    is rows @ place^d, its row-major entries as base-p digits; in projective
-    mode the smaller key of M and -M.  Returns (codes, elements, products,
-    start): the element keys sorted ascending, the (size, d, d) array of
-    elements in that order, the (size, len(gens)) keys of elements[i] @ g,
-    and the index of the identity.
-    """
-    import numpy as np
-    d = len(gens[0])
-    # keys fit int64; MAX_GROUP_ORDER already keeps p and d far below this
-    assert p ** (d * d) < 2 ** 63
-    g = np.array(gens, dtype=np.int64) % p
-    j = np.array(intersection_form(d), dtype=np.int64)
-    if ((g.transpose(0, 2, 1) @ j @ g - j) % p).any():
-        raise ValueError("generator images are not symplectic mod %d" % p)
-    place, vectors, steps = _row_tables(g, p)
-    weights = place ** d
-    negate = (-vectors % p) @ place
-
-    def keys(rows):
-        key = rows @ weights
-        return np.minimum(key, negate[rows] @ weights) if projective else key
-
-    frontier = place[None]  # the identity: row i is e_i, whose code is place[i]
-    seen = keys(frontier)
-    parts, products = [], []
-    while len(frontier):
-        # frontier-major (matrix, generator) order: in projective mode the first
-        # occurrence of a key decides which of M and -M is kept
-        cand = steps[:, frontier].swapaxes(0, 1).reshape(-1, d)
-        cand_codes = keys(cand)
-        products.append(cand_codes.reshape(len(frontier), len(g)))
-        parts.append(frontier)
-        codes, first = np.unique(cand_codes, return_index=True)
-        new = ~np.isin(codes, seen, assume_unique=True)
-        frontier = cand[first[new]]
-        seen = np.concatenate([seen, codes[new]])
-    order = np.argsort(seen)
-    elements = vectors[np.concatenate(parts)[order]]
-    return seen[order], elements, np.concatenate(products)[order], int(order.argmin())
+# finite quotients
 
 
 # entry polynomials on the (N, d, d) element array, one value per element
@@ -562,35 +513,19 @@ ENTRY_POLYNOMIALS = {
     "det-1": lambda elements: [det_ring(m) - 1 for m in elements.tolist()],
 }
 
-# transvection x -> x + <e1 + e3, x> (e1 + e3) for the tridiagonal form J on
-# Z^4; the 5-strand braid images alone generate a proper subgroup of
-# Sp(4, F_p) for some p (120 of the 720 elements of Sp(4, 2))
-_SP4_TRANSVECTION = ((1, 0, 0, 1), (0, 1, 0, 0), (0, 0, 1, 1), (0, 0, 0, 1))
-
 
 def zero_density(poly: str, l: int, p: int) -> Fraction:
     """Fraction of Sp(2l, p) where the named entry polynomial vanishes mod p.
 
-    Exhaustive over the group, enumerated from the (2l+1)-strand generator
-    images (plus a transvection for l >= 2); refused when |Sp(2l, p)|
-    exceeds MAX_GROUP_ORDER.  poly is a name from ENTRY_POLYNOMIALS.
+    Exhaustive over enumerate_sp(l, p), so refused when |Sp(2l, p)| exceeds
+    MAX_GROUP_ORDER.  poly is a name from ENTRY_POLYNOMIALS.
     """
     import numpy as np
     if poly not in ENTRY_POLYNOMIALS:
         raise ValueError("unknown entry polynomial %r" % (poly,))
-    order = sp_order(l, p)
-    _check_budget(order)
-    gens = [burau_minus1(BraidWord(2 * l + 1, (i,))) for i in range(1, 2 * l + 1)]
-    if l > 1:
-        gens.append(_SP4_TRANSVECTION)
-    _, elements, _, _ = _cayley_table(gens, p, projective=False)
-    if len(elements) != order:
-        raise RuntimeError(
-            "generators reach %d of the %d elements of Sp(%d, %d)"
-            % (len(elements), order, 2 * l, p)
-        )
+    elements = enumerate_sp(l, p)
     zeros = int((np.asarray(ENTRY_POLYNOMIALS[poly](elements)) % p == 0).sum())
-    return Fraction(zeros, order)
+    return Fraction(zeros, len(elements))
 
 
 @dataclass(frozen=True)
@@ -607,14 +542,18 @@ def finite_walk_tv(
 ) -> FiniteWalkResult:
     """Exact total-variation distance to uniform along the mod-p walk.
 
-    The walk lives in Sp(2l, F_p) (or PSp for projective=True) where
+    The walk lives in G = Sp(2l, F_p) (or PSp for projective=True) where
     2l = strands - 1 rounded down to even.  The TV sequence starts at step 0
-    (distance 1 - 1/|G| from the point mass at the identity).  The walk runs
-    on the Cayley table of the subgroup H the support images generate: the
-    step-k law is a vector of integer counts over denom^k, pushed through
-    each generator's permutation of H.  If H is not the whole group the TV
-    floor is positive and `generated` is False.  Groups above
-    MAX_GROUP_ORDER and negative step counts are refused.
+    (distance 1 - 1/|G| from the point mass at the identity).  G is the
+    array of _symplectic_group, sorted by key (column-major entries as
+    base-p digits); in projective mode it keeps the element of each pair
+    {M, -M} with the smaller key, the key of the class.  Each support image
+    g becomes a permutation of G, found by searchsorted on the keys of
+    elements @ g mod p.  The step-k law is a vector of integer counts over
+    denom^k pushed through those permutations; it stays 0 off the subgroup
+    H that the images generate.  If H is not all of G the TV floor is
+    positive and `generated` is False.  Groups above MAX_GROUP_ORDER and
+    negative step counts are refused before any work.
     """
     import numpy as np
     if steps < 0:
@@ -629,22 +568,47 @@ def finite_walk_tv(
     _check_budget(order)
 
     mats, wnums, denom = _atom_images(mu, symplectic_image)
-    codes, _, products, start = _cayley_table(mats, p, projective)
-    size = len(codes)
+    d = 2 * l
+    g = mats % p
+    j = np.array(intersection_form(d), dtype=np.int64)
+    if ((g.transpose(0, 2, 1) @ j @ g - j) % p).any():
+        raise ValueError("generator images are not symplectic mod %d" % p)
+    # keys fit int64; MAX_GROUP_ORDER already keeps p and d far below this
+    assert p ** (d * d) < 2 ** 63
+    weights = p ** np.arange(d * d - 1, -1, -1, dtype=np.int64)
+
+    def keys(m):
+        return m.transpose(0, 2, 1).reshape(len(m), -1) @ weights
+
+    def index(m):
+        """Positions in G of the matrices m (of their classes {M, -M})."""
+        key = keys(m % p)
+        return np.searchsorted(codes, np.minimum(key, keys(-m % p)) if projective else key)
+
+    elements = _symplectic_group(l, p)
+    if projective:
+        elements = elements[keys(elements) < keys(-elements % p)]
+    codes = keys(elements)
+    tables = np.array([index(elements @ h) for h in g])
+    start = int(index(np.eye(d, dtype=np.int64)[None])[0])
+    # right multiplication from the identity reaches H, one level per pass: in
+    # a finite group the products of generators already form the subgroup
+    reached = np.zeros(order, dtype=bool)
+    reached[start] = True
+    while not reached[tables[:, reached]].all():
+        reached[tables[:, reached]] = True
     # new[table[i]] += w * old[i], i.e. a gather through the inverse permutation
-    pushes = [(wnum, np.argsort(np.searchsorted(codes, column)))
-              for wnum, column in zip(wnums, products.T)]
-    counts = np.zeros(size, dtype=object)  # exact Python ints: denom^k overflows int64
+    pushes = [(wnum, np.argsort(table)) for wnum, table in zip(wnums, tables)]
+    counts = np.zeros(order, dtype=object)  # exact Python ints: denom^k overflows int64
     counts[start] = 1
     tv = []
     for k in range(steps + 1):
         scale = denom ** k
-        # sum over H of |count/scale - 1/|G|| plus 1/|G| for each element off H
-        num = np.abs(counts * order - scale).sum() + (order - size) * scale
-        tv.append(Fraction(int(num), 2 * scale * order))
+        tv.append(Fraction(int(np.abs(counts * order - scale).sum()), 2 * scale * order))
         if k == steps:
             break
         counts = sum(wnum * counts[inv] for wnum, inv in pushes)
     return FiniteWalkResult(
-        p=p, projective=projective, group_order=order, generated=size == order, tv=tuple(tv)
+        p=p, projective=projective, group_order=order, generated=bool(reached.all()),
+        tv=tuple(tv),
     )

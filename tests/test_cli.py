@@ -196,10 +196,10 @@ def test_group_order_budget_exits_2(capsys, argv):
 
 
 def test_finite_walk_negative_steps_exits_2(capsys, monkeypatch):
-    def no_table(*args):
-        raise AssertionError("Cayley table built for a refused step count")
+    def no_search(*args):
+        raise AssertionError("group enumerated for a refused step count")
 
-    monkeypatch.setattr(walks, "_cayley_table", no_table)
+    monkeypatch.setattr(walks, "_symplectic_group", no_search)
     rc, out, err = run(capsys, "finite-walk", "--p", "3", "--steps", "-1")
     assert rc == 2 and "step count" in err
     assert out == ""

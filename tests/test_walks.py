@@ -211,28 +211,26 @@ IN_BUDGET = [(l, p) for l in (1, 2, 3) for p in PRIMES if sp_order(l, p) <= MAX_
 def test_bruteforce_counts_match_formula():
     assert IN_BUDGET == [(1, p) for p in PRIMES if p <= 43] + [(2, 2), (2, 3)]
     for l, p in IN_BUDGET:
+        d = 2 * l
+        group = enumerate_sp(l, p)
+        # a membership certificate: distinct matrices over F_p with M^T J M = J
+        assert group.dtype == np.int64 and group.shape == (sp_order(l, p), d, d), (l, p)
+        assert ((group >= 0) & (group < p)).all()
+        assert len(np.unique(group.reshape(len(group), -1), axis=0)) == len(group)
+        j = np.array(intersection_form(d), dtype=np.int64)
+        assert not ((group.transpose(0, 2, 1) @ j @ group - j) % p).any(), (l, p)
+        # sorted by column-major entries read as base-p digits
+        keys = group.transpose(0, 2, 1).reshape(len(group), -1) @ p ** np.arange(d * d)[::-1]
+        assert (np.diff(keys) > 0).all(), (l, p)
         assert count_group_bruteforce(l, p) == sp_order(l, p), (l, p)
-
-
-@pytest.mark.parametrize("l,p", IN_BUDGET)
-def test_bruteforce_matches_cayley_table(l, p):
-    # the generators zero_density builds, through the same search
-    gens = [burau_minus1(BraidWord(2 * l + 1, (i,))) for i in range(1, 2 * l + 1)]
-    if l > 1:
-        gens.append(walks._SP4_TRANSVECTION)
-    _, elements, _, _ = walks._cayley_table(gens, p, projective=False)
-    found = {tuple(map(tuple, m)) for m in elements.tolist()}
-    group = list(enumerate_sp(l, p))
-    assert len(group) == len(set(group))
-    assert set(group) == found
 
 
 @pytest.mark.parametrize("l,p", [(1, 47), (2, 5), (3, 2), (1, 9), (0, 5)])
 def test_bruteforce_refused_before_enumeration(l, p, monkeypatch):
-    def no_vectors(*args, **kwargs):
-        raise AssertionError("vectors allocated for a refused group")
+    def no_search(*args):
+        raise AssertionError("column search run for a refused group")
 
-    monkeypatch.setattr(np, "indices", no_vectors)
+    monkeypatch.setattr(walks, "_symplectic_group", no_search)
     with pytest.raises(ValueError, match="MAX_GROUP_ORDER|prime|l must be"):
         enumerate_sp(l, p)  # refused at the call, with no iteration
     with pytest.raises(ValueError):
@@ -271,7 +269,7 @@ TUPLE_POLYNOMIALS = {
 @pytest.mark.parametrize("l,p", [(1, 2), (1, 3), (1, 5), (1, 7), (1, 11), (1, 13),
                                  (1, 43), (2, 2), (2, 3)])
 def test_zero_density_matches_bruteforce_count(l, p):
-    group = list(enumerate_sp(l, p))
+    group = enumerate_sp(l, p).tolist()
     assert len(group) == sp_order(l, p)
     assert set(TUPLE_POLYNOMIALS) == set(ENTRY_POLYNOMIALS)
     for name, poly in TUPLE_POLYNOMIALS.items():
@@ -366,6 +364,46 @@ def test_finite_walk_tv_matches_dict_oracle(mu, p, projective, steps):
         assert not fast.generated and fast.tv[-1] > 0
 
 
+@st.composite
+def _measures(draw):
+    """1-3 atoms: short 3- or 4-strand words with random positive weights."""
+    strands = draw(st.sampled_from([3, 4]))
+    letter = st.integers(min_value=1, max_value=strands - 1).flatmap(
+        lambda i: st.sampled_from([i, -i]))
+    words = draw(st.lists(st.lists(letter, max_size=4), min_size=1, max_size=3))
+    sizes = draw(st.lists(st.integers(min_value=1, max_value=9),
+                          min_size=len(words), max_size=len(words)))
+    return GenMeasure(tuple(
+        (BraidWord(strands, tuple(w)), Fraction(s, sum(sizes))) for w, s in zip(words, sizes)
+    ))
+
+
+@given(_measures(), st.sampled_from([3, 5, 7]), st.booleans(),
+       st.integers(min_value=0, max_value=5))
+@settings(max_examples=40, deadline=None)
+def test_finite_walk_tv_random_measures_match_dict_oracle(mu, p, projective, steps):
+    # most draws generate a proper subgroup, so this checks the reachability
+    # pass behind `generated` as well as the walk
+    fast = finite_walk_tv(mu, p, projective=projective, steps=steps)
+    slow = fp_oracle.finite_walk_tv(mu, p, projective=projective, steps=steps)
+    assert fast.tv == slow.tv
+    assert fast.generated == slow.generated
+
+
+def test_finite_walk_tv_budget_edge(monkeypatch):
+    # PSL(2, 53) is the largest projective group within MAX_GROUP_ORDER
+    res = finite_walk_tv(MU3, 53, projective=True, steps=2)
+    assert res.group_order == 74412 and res.generated
+    assert res.tv == (Fraction(74411, 74412), Fraction(18602, 18603), Fraction(5723, 5724))
+
+    def no_search(*args):
+        raise AssertionError("column search run for a refused group")
+
+    monkeypatch.setattr(walks, "_symplectic_group", no_search)
+    with pytest.raises(ValueError, match="MAX_GROUP_ORDER"):
+        finite_walk_tv(MU3, 59, projective=True, steps=2)
+
+
 @dataclass(frozen=True)
 class Mod2Matrix:
     """Matrix over F_2 with FpMatrix's product rule; FpMatrix takes odd p only."""
@@ -379,90 +417,28 @@ class Mod2Matrix:
         ))
 
 
-def _oracle_element(m, p, projective):
+def _oracle_element(m, p):
     if p == 2:
         return Mod2Matrix(tuple(tuple(x % 2 for x in row) for row in m))
-    return reduce_mod_p(m, p, projective)
+    return reduce_mod_p(m, p)
 
 
-def _key(entries, p):
-    """Row-major entries as base-p digits, the first most significant."""
-    key = 0
-    for x in (x for row in entries for x in row):
-        key = key * p + x
-    return key
+# transvection x -> x + <e1 + e3, x> (e1 + e3) for the tridiagonal form J on
+# Z^4; the 5-strand braid images alone generate a proper subgroup of Sp(4, 2)
+# (120 of its 720 elements)
+SP4_TRANSVECTION = ((1, 0, 0, 1), (0, 1, 0, 0), (0, 0, 1, 1), (0, 0, 0, 1))
 
 
-# generator images for the Cayley search: SL(2, p) from the 3-strand walk,
-# Sp(4, p) as zero_density builds it, and the sigma_1^(+-1) subgroup
-CAYLEY_GENS = {
-    "sl2": [symplectic_image(word) for word, _ in MU3.atoms],
-    "sp4": [burau_minus1(BraidWord(5, (i,))) for i in range(1, 5)] + [walks._SP4_TRANSVECTION],
-    "unipotent": [symplectic_image(word) for word, _ in NON_GENERATING.atoms],
-}
-
-
-@pytest.mark.parametrize("group,p,projective", [
-    *[("sl2", p, projective) for p in (3, 5, 7, 11, 13) for projective in (False, True)],
-    ("sp4", 2, False),
-    *[("unipotent", p, projective) for p in (3, 7) for projective in (False, True)],
-])
-def test_cayley_table_matches_set_search(group, p, projective):
-    gens = CAYLEY_GENS[group]
-    codes, elements, products, start = walks._cayley_table(gens, p, projective)
-    fp_gens = [_oracle_element(g, p, projective) for g in gens]
-    found = [_oracle_element(m, p, projective) for m in elements.tolist()]
-    assert set(found) == fp_oracle._semigroup_closure(fp_gens, MAX_GROUP_ORDER)
-    assert len(set(found)) == len(found)
-    # the key of an element is its canonical entries as base-p digits, sorted
-    assert codes.tolist() == [_key(x.entries, p) for x in found] == sorted(codes.tolist())
-    assert found[start] == _oracle_element(identity(len(gens[0])), p, projective)
-    index = {x: i for i, x in enumerate(found)}
-    for k, g in enumerate(fp_gens):
-        table = np.searchsorted(codes, products[:, k])
-        assert table.tolist() == [index[x.matmul(g)] for x in found]
-    if group == "sp4":
-        assert set(found) == {Mod2Matrix(m) for m in enumerate_sp(2, 2)}
-
-
-@pytest.mark.parametrize("projective", [False, True])
-def test_cayley_table_sp4_3_is_the_group(projective):
-    codes, elements, products, start = walks._cayley_table(CAYLEY_GENS["sp4"], 3, projective)
-    assert len(codes) == len(elements) == (psp_order if projective else sp_order)(2, 3)
-    assert (np.diff(codes) > 0).all()
-    j = np.array(intersection_form(4), dtype=np.int64)
-    assert not ((elements.transpose(0, 2, 1) @ j @ elements - j) % 3).any()
-    assert (elements[start] % 3 == np.eye(4, dtype=np.int64)).all()
-    # every product lands in the group: each generator permutes the elements
-    for column in products.T:
-        table = np.searchsorted(codes, column)
-        assert (codes[table] == column).all()
-        assert (np.sort(table) == np.arange(len(codes))).all()
-
-
-@given(st.sampled_from([2, 3, 5, 7]), st.data())
-@settings(max_examples=40, deadline=None)
-def test_row_table_is_the_row_walk_transition(p, data):
-    strands = data.draw(st.integers(min_value=3, max_value=6))
-    letter = st.integers(min_value=1, max_value=strands - 1).flatmap(
-        lambda i: st.sampled_from([i, -i]))
-    words = data.draw(st.lists(st.lists(letter, max_size=12), min_size=1, max_size=3))
-    g = np.array([symplectic_image(BraidWord(strands, w)) for w in words], dtype=np.int64)
-    d = g.shape[-1]
-    place, vectors, steps = walks._row_tables(g, p)
-    assert steps.shape == (len(words), p ** d)
-    assert (vectors @ place == np.arange(p ** d)).all()
-    for table in steps:
-        assert table[0] == 0
-        assert (np.sort(table) == np.arange(p ** d)).all()
-    rows = data.draw(st.lists(st.lists(st.integers(min_value=0, max_value=p - 1),
-                                       min_size=d, max_size=d), min_size=1, max_size=8))
-    for row in rows:
-        code = _key([row], p)
-        assert vectors[code].tolist() == row
-        for table, m in zip(steps, g.tolist()):
-            image = [sum(x * m[i][j] for i, x in enumerate(row)) % p for j in range(d)]
-            assert table[code] == _key([image], p)
+@pytest.mark.parametrize("l,p", [(1, p) for p in (2, 3, 5, 7, 11, 13)] + [(2, 2)])
+def test_bruteforce_matches_semigroup_closure(l, p):
+    gens = [burau_minus1(BraidWord(2 * l + 1, (i,))) for i in range(1, 2 * l + 1)]
+    if l > 1:
+        gens.append(SP4_TRANSVECTION)
+    closure = fp_oracle._semigroup_closure(
+        [_oracle_element(g, p) for g in gens], MAX_GROUP_ORDER
+    )
+    group = {_oracle_element(m, p) for m in enumerate_sp(l, p).tolist()}
+    assert group == closure
 
 
 def _skewed(strands):
