@@ -24,18 +24,16 @@ Walk predicates and entry polynomials work on stacked matrices: a
 predicate (PREDICATES) maps an (N, d, d) int64 array to N booleans (an
 entry predicate also carries its entry and its test on entries) and an
 entry polynomial (ENTRY_POLYNOMIALS) maps the element array to N integers,
-so each runs once per array.  The one exception is "det-1", which calls
-det_ring once per element: nearly all of the 0.4-0.6 s that
-zero_density("det-1", 2, 3) takes on Sp(4, 3) on a 2-core x86-64 VM, where
-"m11" takes 0.015 s.
+so each runs once per array.  One lookup resolves the names of both tables,
+and one check refuses a predicate result that is not N booleans.
 
 Reductions mod p land in Sp(2l, F_p) (or its projective quotient).  One
 enumeration lists the whole group, sorted by key: a column search on the
 form J that uses no generator, so its count checks the closed-form order.
 Each support image of a walk acts on that list as a permutation, found by
-searchsorted on the keys of the products; walks push exact integer count
-vectors through the permutations, a reachability pass over them says
-whether the images generate the group, and zero densities of entry
+searchsorted on the keys of the products; a reachability pass over the
+permutations finds the subgroup the images generate, walks push exact
+integer count vectors over that subgroup alone, and zero densities of entry
 polynomials count over the same list.
 """
 
@@ -43,14 +41,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from itertools import combinations, permutations
+from math import factorial, gcd
 from numbers import Rational
 
 # numpy is imported inside each function that calls it, so that importing
 # braidwalk, and so every command that never walks, loads no numpy.
 from .braid import BraidWord
 from .burau import burau_minus1, intersection_form, symplectic_image
-from .linalg import det_ring
 
 
 # ---------------------------------------------------------------------------
@@ -237,32 +235,18 @@ def predicate_all_entries_big(states: np.ndarray) -> np.ndarray:
 PREDICATES = {"z11": predicate_z11, "all-entries": predicate_all_entries_big}
 
 
-def _named(predicate):
-    """predicate, or the function PREDICATES names by it."""
-    if isinstance(predicate, str):
-        if predicate not in PREDICATES:
-            raise ValueError("unknown predicate %r" % predicate)
-        return PREDICATES[predicate]
-    return predicate
+def _named(table: dict, name, kind: str):
+    """table[name]; a name not in table is refused with ValueError."""
+    if not isinstance(name, str) or name not in table:
+        raise ValueError("unknown %s %r" % (kind, name))
+    return table[name]
 
 
-def _checked(predicate):
-    """predicate, a name from PREDICATES or a function from an (N, d, d)
-    int64 array to N booleans, as a function that refuses any other result.
-
-    A predicate written for one nested-tuple matrix still runs on a stacked
-    array but answers about one matrix's rows, and summing that answer would
-    give a wrong count, so the shape and dtype are checked on every call.
-    """
-    predicate = _named(predicate)
-
-    def hits(states):
-        return _booleans(
-            predicate(states), states.shape[:1],
-            "a predicate must map an (N, d, d) array to N booleans",
-        )
-
-    return hits
+def _hits(predicate, states: np.ndarray) -> np.ndarray:
+    """predicate(states), refused unless it is N booleans for the N states: a
+    predicate written for one nested-tuple matrix answers about its rows."""
+    return _booleans(predicate(states), states.shape[:1],
+                     "a predicate must map an (N, d, d) array to N booleans")
 
 
 def _booleans(result, shape: tuple, contract: str):
@@ -329,12 +313,12 @@ def hitting_series(
     predicate_z11) takes the meet-in-the-middle path, _entry_series; any
     other runs once per step on the distinct matrices of the matrix DP.
     """
-    predicate = _named(predicate)
+    if isinstance(predicate, str):
+        predicate = _named(PREDICATES, predicate, "predicate")
     if hasattr(predicate, "entry"):
         return _entry_series(mu, rep, kmax, predicate.entry, predicate.test)
-    predicate = _checked(predicate)
     return [
-        Fraction(int(counts[predicate(states)].sum()), scale)
+        Fraction(int(counts[_hits(predicate, states)].sum()), scale)
         for states, counts, scale in _walk_laws(mu, rep, kmax)
     ]
 
@@ -370,7 +354,8 @@ def monte_carlo_hitting(
         raise ValueError("trials must be positive")
     if seed < 0:
         raise ValueError("seed must be >= 0, got %d" % seed)
-    predicate = _checked(predicate)
+    if isinstance(predicate, str):
+        predicate = _named(PREDICATES, predicate, "predicate")
     mats, weights, denom = _walk_atoms(mu, rep, k)
     d = mats.shape[1]
     cum = np.cumsum(weights.astype(np.float64) / denom)
@@ -382,10 +367,10 @@ def monte_carlo_hitting(
         n = min(_MC_BATCH, trials - done)
         picks = np.searchsorted(cum, rng.random((n, k)), side="right")
         cur = np.broadcast_to(np.eye(d, dtype=np.int64), (n, d, d)).copy()
-        hits_by_step[0] += int(predicate(cur).sum())
+        hits_by_step[0] += int(_hits(predicate, cur).sum())
         for step in range(k):
             cur = cur @ mats[picks[:, step]]
-            hits_by_step[step + 1] += int(predicate(cur).sum())
+            hits_by_step[step + 1] += int(_hits(predicate, cur).sum())
         done += n
 
     hits = hits_by_step[k]
@@ -504,13 +489,26 @@ def count_group_bruteforce(l: int, p: int) -> int:
 # finite quotients
 
 
+def _stacked_det(elements: np.ndarray) -> np.ndarray:
+    """Determinants of an (N, d, d) int64 array by the Leibniz formula.  Each
+    partial sum is at most d! max|entry|^d < 2^63; on the enumerated groups,
+    entries in [0, p), that is at most 2 * 52^2 = 5408 (l = 1, p = 53)."""
+    d = elements.shape[1]
+    assert factorial(d) * int(abs(elements).max()) ** d < 2 ** 63
+    return sum(
+        (-1) ** sum(a > b for a, b in combinations(perm, 2))
+        * elements[:, range(d), perm].prod(axis=1)
+        for perm in permutations(range(d))
+    )
+
+
 # entry polynomials on the (N, d, d) element array, one value per element
 ENTRY_POLYNOMIALS = {
     "m11": lambda elements: elements[:, 0, 0],
     "m12": lambda elements: elements[:, 0, 1],
     "m21": lambda elements: elements[:, 1, 0],
     "m22": lambda elements: elements[:, 1, 1],
-    "det-1": lambda elements: [det_ring(m) - 1 for m in elements.tolist()],
+    "det-1": lambda elements: _stacked_det(elements) - 1,
 }
 
 
@@ -520,12 +518,9 @@ def zero_density(poly: str, l: int, p: int) -> Fraction:
     Exhaustive over enumerate_sp(l, p), so refused when |Sp(2l, p)| exceeds
     MAX_GROUP_ORDER.  poly is a name from ENTRY_POLYNOMIALS.
     """
-    import numpy as np
-    if poly not in ENTRY_POLYNOMIALS:
-        raise ValueError("unknown entry polynomial %r" % (poly,))
+    poly = _named(ENTRY_POLYNOMIALS, poly, "entry polynomial")
     elements = enumerate_sp(l, p)
-    zeros = int((np.asarray(ENTRY_POLYNOMIALS[poly](elements)) % p == 0).sum())
-    return Fraction(zeros, len(elements))
+    return Fraction(int((poly(elements) % p == 0).sum()), len(elements))
 
 
 @dataclass(frozen=True)
@@ -550,8 +545,9 @@ def finite_walk_tv(
     {M, -M} with the smaller key, the key of the class.  Each support image
     g becomes a permutation of G, found by searchsorted on the keys of
     elements @ g mod p.  The step-k law is a vector of integer counts over
-    denom^k pushed through those permutations; it stays 0 off the subgroup
-    H that the images generate.  If H is not all of G the TV floor is
+    denom^k on the subgroup H that the images generate, which a
+    reachability pass over the permutations finds; each element off H adds
+    its uniform mass 1/|G| to the TV.  If H is not all of G the TV floor is
     positive and `generated` is False.  Groups above MAX_GROUP_ORDER and
     negative step counts are refused before any work.
     """
@@ -597,17 +593,20 @@ def finite_walk_tv(
     reached[start] = True
     while not reached[tables[:, reached]].all():
         reached[tables[:, reached]] = True
-    # new[table[i]] += w * old[i], i.e. a gather through the inverse permutation
-    pushes = [(wnum, np.argsort(table)) for wnum, table in zip(wnums, tables)]
-    counts = np.zeros(order, dtype=object)  # exact Python ints: denom^k overflows int64
-    counts[start] = 1
+    # each table read on H and renumbered into H is a permutation of H, and
+    # new[table[i]] += w * old[i] is a gather through its inverse
+    members = np.flatnonzero(reached)
+    inverses = np.argsort(np.searchsorted(members, tables[:, members]), axis=1)
+    counts = np.zeros(len(members), dtype=object)  # exact Python ints: denom^k overflows int64
+    counts[np.searchsorted(members, start)] = 1
     tv = []
     for k in range(steps + 1):
         scale = denom ** k
-        tv.append(Fraction(int(np.abs(counts * order - scale).sum()), 2 * scale * order))
+        off_h = (order - len(members)) * scale
+        tv.append(Fraction(int(np.abs(counts * order - scale).sum()) + off_h, 2 * scale * order))
         if k == steps:
             break
-        counts = sum(wnum * counts[inv] for wnum, inv in pushes)
+        counts = sum(wnum * counts[inv] for wnum, inv in zip(wnums, inverses))
     return FiniteWalkResult(
         p=p, projective=projective, group_order=order, generated=bool(reached.all()),
         tv=tuple(tv),

@@ -11,7 +11,7 @@ from hypothesis import example, given, settings, strategies as st
 from braidwalk import walks
 from braidwalk.braid import BraidWord
 from braidwalk.burau import burau_minus1, intersection_form, symplectic_image
-from braidwalk.linalg import identity
+from braidwalk.linalg import det_ring, identity
 from braidwalk.walks import (
     ENTRY_POLYNOMIALS,
     GenMeasure,
@@ -223,6 +223,7 @@ def test_bruteforce_counts_match_formula():
         keys = group.transpose(0, 2, 1).reshape(len(group), -1) @ p ** np.arange(d * d)[::-1]
         assert (np.diff(keys) > 0).all(), (l, p)
         assert count_group_bruteforce(l, p) == sp_order(l, p), (l, p)
+        assert zero_density("det-1", l, p) == 1, (l, p)
 
 
 @pytest.mark.parametrize("l,p", [(1, 47), (2, 5), (3, 2), (1, 9), (0, 5)])
@@ -275,6 +276,27 @@ def test_zero_density_matches_bruteforce_count(l, p):
     for name, poly in TUPLE_POLYNOMIALS.items():
         zeros = sum(1 for m in group if poly(m) % p == 0)
         assert zero_density(name, l, p) == Fraction(zeros, len(group)), name
+
+
+@st.composite
+def _element_arrays(draw):
+    """(N, d, d) int64 arrays with d <= 4 and entries in [0, p), p = 3 or 53:
+    the entry range of the enumerated groups at either end of the budget."""
+    p = draw(st.sampled_from([3, 53]))
+    d = draw(st.integers(min_value=1, max_value=4))
+    n = draw(st.integers(min_value=1, max_value=6))
+    entries = draw(st.lists(st.integers(min_value=0, max_value=p - 1),
+                            min_size=n * d * d, max_size=n * d * d))
+    return np.array(entries, dtype=np.int64).reshape(n, d, d)
+
+
+@given(_element_arrays())
+@example(np.array([[[52, 0], [0, 52]], [[0, 52], [52, 0]], [[52, 52], [52, 52]]]))
+@example(np.array([[[2, 0, 0, 0], [0, 2, 0, 0], [0, 0, 2, 0], [0, 0, 0, 2]]]))
+@example(np.full((2, 4, 4), 52))
+@settings(max_examples=60, deadline=None)
+def test_stacked_det_matches_det_ring(elements):
+    assert walks._stacked_det(elements).tolist() == [det_ring(m) for m in elements.tolist()]
 
 
 def test_group_order_budget():
@@ -388,6 +410,20 @@ def test_finite_walk_tv_random_measures_match_dict_oracle(mu, p, projective, ste
     slow = fp_oracle.finite_walk_tv(mu, p, projective=projective, steps=steps)
     assert fast.tv == slow.tv
     assert fast.generated == slow.generated
+
+
+def test_non_generating_walk_counts_on_the_subgroup_only():
+    # sigma_1^(+-1) generate a subgroup H of order 43 in SL(2, 43), |G| = 79 464;
+    # counts pushed over all of G took seconds for these 200 steps, over H
+    # they take about 0.1 s
+    start = time.monotonic()
+    fast = finite_walk_tv(NON_GENERATING, 43, steps=200)
+    assert time.monotonic() - start < 1.0
+    assert fast.tv[200] == Fraction(1847, 1848)
+    slow = fp_oracle.finite_walk_tv(NON_GENERATING, 43, steps=30)
+    assert fast.group_order == slow.group_order == 79464
+    assert not fast.generated and not slow.generated
+    assert fast.tv[:31] == slow.tv
 
 
 def test_finite_walk_tv_budget_edge(monkeypatch):
