@@ -2,23 +2,27 @@
 
 Matrices are tuples of row tuples.  mat_mul and its relatives take any ring
 entries (python ints, Fractions, LaurentPoly).  The two kernels of the
-n-strand invariants stay in integers and are fraction-free: det_ring is
-Bareiss elimination over Z or Z[t, 1/t], and row_signature is sparse
-symmetric Bareiss elimination on dicts of nonzero entries, with one pivot
-kind: a zero diagonal first gets Lagrange's congruence e_k <- e_k +- e_j.
+n-strand invariants are fraction-free eliminations in python ints:
+det_ring is Bareiss elimination over Z, and over Z[t, 1/t] by Kronecker
+substitution t = 2^w, and row_signature is sparse symmetric Bareiss
+elimination on dicts of nonzero entries, with one pivot kind: a zero
+diagonal first gets Lagrange's congruence e_k <- e_k +- e_j.
 form_signature is its dense entry: it checks a tuple matrix and hands over
 the upper triangle; the Seifert oracle builds its rows itself and never
-forms a dense matrix.  Both kernels divide only through _divide_exact,
-which refuses a remainder.  rref is the one elimination over Q, with
-Fractions; nothing here inverts a matrix, so mat_pow takes n >= 0 only.
-No floating point anywhere.
+forms a dense matrix.  Every division in both kernels is exact and
+checked: a remainder raises ArithmeticError.  rref is the one elimination
+over Q, with Fractions; nothing here inverts a matrix, so mat_pow takes
+n >= 0 only.  No floating point anywhere.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from itertools import chain, compress
+from math import prod
 from typing import Sequence
+
+from .laurent import LaurentPoly
 
 Matrix = tuple[tuple, ...]
 Vector = tuple
@@ -64,38 +68,62 @@ def mat_pow(a: Matrix, n: int) -> Matrix:
     return result
 
 
-def _divide_exact(x, y):
-    """x / y for a y known to divide x: ints by divmod, where a nonzero
-    remainder raises ArithmeticError, and LaurentPolys by divide_exact,
-    where it raises ValueError."""
-    if isinstance(x, int):
-        q, r = divmod(x, y)
-        if r:
-            raise ArithmeticError("inexact division")
-        return q
-    return x.divide_exact(y)
+def _divide_exact(x: int, y: int) -> int:
+    """x / y for an int y known to divide x; a nonzero remainder raises
+    ArithmeticError."""
+    q, r = divmod(x, y)
+    if r:
+        raise ArithmeticError("inexact division")
+    return q
 
 
 def det_ring(a: Matrix):
     """Determinant of a square matrix over Z or Z[t, 1/t] by fraction-free
-    Bareiss elimination (Bareiss, Math. Comp. 22 (1968)).
+    Bareiss elimination in integers (Bareiss, Math. Comp. 22 (1968)).
 
     Step k replaces every entry below and right of the pivot by
     (p m[i][j] - m[i][k] m[k][j]) / p_prev, an exact division, so entries
     stay minors of the input; a row swap flips the sign.  Entries are
-    python ints or LaurentPolys.  A zero pivot column gives the zero of the
-    entry type.
+    python ints or LaurentPolys, else TypeError.
+
+    With a LaurentPoly entry the determinant is a LaurentPoly, found by
+    Kronecker substitution.  Row i times t^-lo_i, lo_i its lowest
+    exponent, has polynomial entries P_ij, and the determinant D of these
+    rows is a sum of products, one entry per row, so its coefficients are
+    at most |D|_1 <= perm(|P_ij|_1) <= bound = prod_i sum_j |P_ij|_1, with
+    |.|_1 the sum of the absolute coefficients.  Eliminating on the
+    integers P_ij(2^w), w = bound.bit_length() + 1, gives D(2^w), whose
+    balanced base-2^w digits are the coefficients of D; the determinant is
+    t^(sum_i lo_i) D.  A zero row gives bound 0 and the zero polynomial.
     """
     d = len(a)
-    if d == 0:
+    if any(len(row) != d for row in a):
+        raise ValueError("det_ring needs a square matrix")
+    kinds = set(map(type, chain.from_iterable(a)))
+    for kind in kinds:
+        if not issubclass(kind, (int, LaurentPoly)):
+            raise TypeError("det_ring takes int or LaurentPoly entries, not %s" % kind.__name__)
+    if not d:
         return 1
-    m = [list(row) for row in a]
-    sign = 1
-    prev = None
+    laurent = any(issubclass(kind, LaurentPoly) for kind in kinds)
+    if laurent:
+        rows = [[x.coeffs if isinstance(x, LaurentPoly) else {0: x} if x else {} for x in row]
+                for row in a]
+        bound = prod(sum(abs(c) for x in row for c in x.values()) for row in rows)
+        if not bound:
+            return LaurentPoly()
+        w = bound.bit_length() + 1
+        los = [min(e for x in row for e in x) for row in rows]
+        m = [[sum(c << w * (e - lo) for e, c in x.items()) for x in row]
+             for row, lo in zip(rows, los)]
+    else:
+        m = [list(row) for row in a]
+    sign, prev = 1, None
     for k in range(d - 1):
         pivot = next((r for r in range(k, d) if m[r][k]), None)
         if pivot is None:
-            return m[k][k] * 0
+            det = 0
+            break
         if pivot != k:
             m[k], m[pivot] = m[pivot], m[k]
             sign = -sign
@@ -107,8 +135,17 @@ def det_ring(a: Matrix):
                 x = p * row[j] - f * rowk[j]
                 row[j] = x if prev is None else _divide_exact(x, prev)
         prev = p
-    det = m[d - 1][d - 1]
-    return det if sign > 0 else -det
+    else:
+        det = sign * m[d - 1][d - 1]
+    if not laurent:
+        return det
+    coeffs, e = {}, sum(los)
+    mask, half = (1 << w) - 1, 1 << (w - 1)
+    while det:
+        coeffs[e] = c = ((det + half) & mask) - half
+        det = (det - c) >> w
+        e += 1
+    return LaurentPoly(coeffs)
 
 
 def rref(rows: Sequence[Sequence]) -> tuple[list[list[Fraction]], list[int]]:
@@ -207,7 +244,11 @@ def row_signature(rows: list[dict[int, int]]) -> int:
             new = {}
             for l in row.keys() | x.keys():
                 if l >= i and (v := p * row.get(l, 0) - xi * x.get(l, 0)):
-                    new[l] = _divide_exact(v, det)
+                    if det != 1:
+                        v, r = divmod(v, det)
+                        if r:
+                            raise ArithmeticError("inexact division")
+                    new[l] = v
             rows[i] = new
             stamps[i] = p
         det = p

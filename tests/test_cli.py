@@ -2,6 +2,7 @@
 
 import json
 import random
+import shlex
 import time
 from fractions import Fraction
 from pathlib import Path
@@ -420,3 +421,24 @@ def test_exit_codes(capsys):
         cli.main(["--version"])
     assert exc.value.code == 0
     capsys.readouterr()
+
+
+# tests/cli_pins.txt: the pinned lines that CI checks on the installed script
+PINS = [line.split("\t") for line in
+        (Path(__file__).parent / "cli_pins.txt").read_text().splitlines()
+        if line and not line.startswith("#")]
+
+
+@pytest.mark.parametrize("args, which, expected", PINS,
+                         ids=["%s | %s" % (args, which) for args, which, _ in PINS])
+def test_cli_pin(capsys, args, which, expected):
+    rc, out, err = run(capsys, *shlex.split(args))
+    if which == "exit":
+        assert rc == int(expected)
+    elif which == "stderr":
+        assert err.splitlines()[-1] == expected
+    elif which == "only":
+        assert rc == 0 and out == expected + "\n"
+    else:
+        lines = out.splitlines()
+        assert rc == 0 and lines[-1 if which == "$" else int(which) - 1] == expected

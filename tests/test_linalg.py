@@ -1,6 +1,7 @@
 """Exact linear algebra: determinants, solving, subspaces, form signatures."""
 
 from fractions import Fraction
+from math import prod
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -295,3 +296,57 @@ def test_det_ring_anchors():
     zero = LaurentPoly({})
     det = det_ring(((zero, t), (zero, t)))
     assert isinstance(det, LaurentPoly) and det.is_zero()
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_det_ring_refuses_fraction_entries(d):
+    m = tuple(tuple(Fraction(i == j) for j in range(d)) for i in range(d))
+    with pytest.raises(TypeError, match="Fraction"):
+        det_ring(m)
+
+
+def test_det_ring_refuses_floats_and_non_square_matrices():
+    with pytest.raises(TypeError, match="float"):
+        det_ring(((1, 0), (0, 1.0)))
+    with pytest.raises(ValueError, match="square"):
+        det_ring(((1, 0), (0,)))
+
+
+# entries for the Kronecker substitution: wide coefficients and exponents,
+# plain ints among them, and whole rows of zeros
+wide_polys = st.dictionaries(
+    st.integers(min_value=-6, max_value=6),
+    st.integers(min_value=-10**6, max_value=10**6),
+    max_size=4,
+).map(LaurentPoly)
+wide_entries = st.one_of(wide_polys, st.integers(min_value=-10**6, max_value=10**6))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(min_value=1, max_value=5), st.data())
+def test_det_ring_substitution_matches_laplace(d, data):
+    m = [list(data.draw(st.tuples(*[wide_entries] * d))) for _ in range(d)]
+    m[0][data.draw(st.integers(0, d - 1))] = data.draw(wide_polys.filter(bool))
+    if data.draw(st.booleans()):
+        m[data.draw(st.integers(0, d - 1))] = [LaurentPoly()] * d
+    m = _singular(tuple(map(tuple, m)), data)
+    det = det_ring(m)
+    assert isinstance(det, LaurentPoly)
+    assert det == det_laplace(m)
+
+
+@pytest.mark.parametrize("coefficients, exponents", [
+    ((3,), (-4,)),
+    ((5, 7), (2, -9)),
+    ((-3, 11, 13), (0, 5, -1)),
+    ((1000003, -999983, 3), (6, -6, 1)),
+])
+@pytest.mark.parametrize("sign", [1, -1])
+def test_det_ring_substitution_at_the_bound(coefficients, exponents, sign):
+    # a diagonal of monomials c_i t^e_i: the determinant's one coefficient
+    # is prod |c_i| = bound, the most the digits must hold
+    coefficients = (sign * coefficients[0],) + coefficients[1:]
+    d = len(coefficients)
+    m = tuple(tuple(LaurentPoly.t_power(e, c) if i == j else 0 for j in range(d))
+              for i, (c, e) in enumerate(zip(coefficients, exponents)))
+    assert det_ring(m) == LaurentPoly.t_power(sum(exponents), prod(coefficients))
