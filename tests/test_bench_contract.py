@@ -69,3 +69,29 @@ def test_traced_hitting_series_keeps_cli_output(monkeypatch, capsys, tmp_path):
     assert _walk_and_tables(capsys, tmp_path / "traced") == plain
     # one predicate call per step: k = 0..4 for walk, 0..12 for the z11 table
     assert traced.counters["walks.dp.distinct_states"] == 5 + 13
+
+
+WORKLOADS_PATH = TRACER_PATH.with_name("workloads.py")
+
+
+def _load_workloads():
+    """Execute workloads.py from its source, writing no bytecode next to it."""
+    module = types.ModuleType("perfbench_workloads")
+    code = compile(WORKLOADS_PATH.read_text(), str(WORKLOADS_PATH), "exec")
+    exec(code, module.__dict__)
+    return module
+
+
+workloads = _load_workloads()
+
+
+@pytest.mark.parametrize("name", sorted(workloads.WORKLOADS))
+def test_workload_checks_pass(name, tmp_path):
+    # one untraced pass of the benchmark workload, judged by its own checks:
+    # these read the names and the CLI bytes that the benchmark depends on
+    inputs, solve, check, _ = workloads.WORKLOADS[name]
+    given = inputs(1, str(TRACER_PATH.parents[1]))
+    checks = check(given, solve(given, tracer.NullTracer(), str(tmp_path)))
+    assert checks and all(ok is True for ok in checks), (
+        "workload %r: checks %s fail" % (name, [i for i, ok in enumerate(checks) if ok is not True])
+    )
