@@ -54,10 +54,13 @@ class _Parser(argparse.ArgumentParser):
         sys.exit(1)
 
 
-def _header_lines(seed=None):
+def _csv_lines(columns, rows, *notes):
+    """A CSV table: the tool and version, one '# ' line per note (the
+    parameters the rows depend on), the column line, then the rows."""
     lines = ["# tool=braidwalk version=%s" % __version__]
-    if seed is not None:
-        lines.append("# seed=%s" % seed)
+    lines.extend("# " + note for note in notes)
+    lines.append(columns)
+    lines.extend(rows)
     return lines
 
 
@@ -128,13 +131,10 @@ def _cmd_meyer(args):
     return [str(meyer_cocycle(g1, g2))]
 
 
-def _walk_lines(series, seed=None):
+def _walk_lines(series, *notes):
     """CSV of the values series[1:], one row per step k >= 1."""
-    lines = _header_lines(seed=seed)
-    lines.append("step,exact_rational,decimal")
-    for k in range(1, len(series)):
-        lines.append("%d,%s,%.6f" % (k, series[k], float(series[k])))
-    return lines
+    rows = ("%d,%s,%.6f" % (k, series[k], float(series[k])) for k in range(1, len(series)))
+    return _csv_lines("step,exact_rational,decimal", rows, *notes)
 
 
 def _cmd_walk(args):
@@ -146,7 +146,7 @@ def _cmd_walk(args):
         mu, predicate, args.steps, trials=args.trials, seed=args.seed
     )
     series = [Fraction(hits, args.trials) for hits in est["hits_by_step"]]
-    return _walk_lines(series, seed=args.seed)
+    return _walk_lines(series, "seed=%d" % args.seed)
 
 
 def _cmd_density(args):
@@ -158,12 +158,9 @@ def _cmd_density(args):
 def _cmd_finite_walk(args):
     mu = GenMeasure.uniform_generators(args.strands)
     res = finite_walk_tv(mu, args.p, projective=args.projective, steps=args.steps)
-    lines = _header_lines()
-    lines.append("# group_order=%d generated=%s" % (res.group_order, res.generated))
-    lines.append("step,tv_exact,tv_decimal")
-    for k, tv in enumerate(res.tv):
-        lines.append("%d,%s,%.9f" % (k, tv, float(tv)))
-    return lines
+    rows = ("%d,%s,%.9f" % (k, tv, float(tv)) for k, tv in enumerate(res.tv))
+    return _csv_lines("step,tv_exact,tv_decimal", rows,
+                      "group_order=%d generated=%s" % (res.group_order, res.generated))
 
 
 def _lissajous_table_lines(rows, mode, fmt):
@@ -180,21 +177,12 @@ def _lissajous_table_lines(rows, mode, fmt):
         return [json.dumps({
             "mode": mode,
             "version": __version__,
-            "rows": [
-                {"q": r["q"], "numerator": r["numerator"],
-                 "denominator": r["denominator"], "fraction": str(r["fraction"]),
-                 "percent": r["percent"]}
-                for r in rows
-            ],
+            "rows": [dict(r, fraction=str(r["fraction"])) for r in rows],
         })]
-    lines = _header_lines()
-    lines.append("# mode=%s" % mode)
-    lines.append("q,numerator,denominator,fraction,percent")
-    for r in rows:
-        lines.append("%d,%d,%d,%s,%d" % (
-            r["q"], r["numerator"], r["denominator"], r["fraction"], r["percent"]
-        ))
-    return lines
+    csv_rows = ("%d,%d,%d,%s,%d" % (r["q"], r["numerator"], r["denominator"],
+                                    r["fraction"], r["percent"]) for r in rows)
+    return _csv_lines("q,numerator,denominator,fraction,percent", csv_rows,
+                      "mode=%s" % mode)
 
 
 def _cmd_lissajous_classify(args):

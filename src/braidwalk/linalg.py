@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import chain, compress
-from math import prod
+from math import isqrt, prod
 from typing import Sequence
 
 from .laurent import LaurentPoly
@@ -88,9 +88,10 @@ def det_ring(a: Matrix):
 
     With a LaurentPoly entry the determinant is a LaurentPoly, found by
     Kronecker substitution.  Row i times t^-lo_i, lo_i its lowest
-    exponent, has polynomial entries P_ij, and the determinant D of these
-    rows is a sum of products, one entry per row, so its coefficients are
-    at most |D|_1 <= perm(|P_ij|_1) <= bound = prod_i sum_j |P_ij|_1, with
+    exponent, has polynomial entries P_ij, with determinant D.  Each
+    coefficient of D is a mean of D(z) z^-e over the unit circle, so it
+    is at most max |D(z)| <= prod_i (sum_j |P_ij(z)|^2)^(1/2) (Hadamard)
+    <= bound = ceil(square^(1/2)), square = prod_i sum_j |P_ij|_1^2, with
     |.|_1 the sum of the absolute coefficients.  Eliminating on the
     integers P_ij(2^w), w = bound.bit_length() + 1, gives D(2^w), whose
     balanced base-2^w digits are the coefficients of D; the determinant is
@@ -109,9 +110,11 @@ def det_ring(a: Matrix):
     if laurent:
         rows = [[x.coeffs if isinstance(x, LaurentPoly) else {0: x} if x else {} for x in row]
                 for row in a]
-        bound = prod(sum(abs(c) for x in row for c in x.values()) for row in rows)
-        if not bound:
+        square = prod(sum(sum(map(abs, x.values())) ** 2 for x in row) for row in rows)
+        if not square:
             return LaurentPoly()
+        bound = isqrt(square)
+        bound += bound * bound < square
         w = bound.bit_length() + 1
         los = [min(e for x in row for e in x) for row in rows]
         m = [[sum(c << w * (e - lo) for e, c in x.items()) for x in row]

@@ -458,11 +458,14 @@ def _symplectic_group(l: int, p: int) -> np.ndarray:
     # 5408 (l = 1, p = 53) on the groups within 2 * MAX_GROUP_ORDER, the
     # projective budget, so int16 holds the products and uint8 their residues
     assert int(np.abs(j).sum()) * (p - 1) ** 2 < 2 ** 15
-    pair = (vectors.astype(np.int16) @ j @ vectors.T.astype(np.int16) % p).astype(np.uint8)
-    prefixes = np.zeros((1, 0), dtype=np.int64)
-    for k in range(d):
-        fits = np.ones((len(prefixes), len(vectors)), dtype=bool)
-        for i in range(k):
+    pair = vectors.astype(np.int16) @ j @ vectors.T.astype(np.int16)
+    pair %= p
+    pair = pair.astype(np.uint8)
+    # column c_0 has no condition, so every code starts a prefix
+    prefixes = np.arange(p ** d, dtype=np.int64)[:, None]
+    for k in range(1, d):
+        fits = pair[prefixes[:, 0]] == form[0][k] % p
+        for i in range(1, k):
             fits &= pair[prefixes[:, i]] == form[i][k] % p
         rows, column = np.nonzero(fits)
         prefixes = np.column_stack([prefixes[rows], column])

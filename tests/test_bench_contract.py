@@ -5,7 +5,10 @@ of its METRICS table from the wrapped names.  A layer none of whose names
 exists any more prints null metrics, so deleting or renaming the last
 traced name of a layer has to fail here, not only in a traced benchmark
 run.  The tracer's hitting_series wrapper must also leave the CLI output
-unchanged.  The tracer module is loaded from its file and never installed.
+unchanged.  Each workload's own correctness checks must pass on one
+untraced pass, so that a change the benchmark would reject as giving wrong
+outputs fails here too.  The tracer and workload modules are loaded from
+their files and never installed.
 """
 
 import importlib
@@ -16,14 +19,15 @@ import pytest
 
 from braidwalk import cli, walks
 
-TRACER_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+ROOT = Path(__file__).resolve().parents[1]
 
 
-def _load_tracer():
-    """Execute tracer.py from its source, writing no bytecode next to it."""
-    module = types.ModuleType("perfbench_tracer")
-    code = compile(TRACER_PATH.read_text(), str(TRACER_PATH), "exec")
-    exec(code, module.__dict__)
+def _load(name):
+    """Execute perfbench/<name>.py from its source, writing no bytecode
+    next to it."""
+    path = ROOT / "perfbench" / (name + ".py")
+    module = types.ModuleType("perfbench_" + name)
+    exec(compile(path.read_text(), str(path), "exec"), module.__dict__)
     return module
 
 
@@ -36,7 +40,8 @@ def _resolves(module_name, name):
     return callable(owner)
 
 
-tracer = _load_tracer()
+tracer = _load("tracer")
+workloads = _load("workloads")
 LAYERS = sorted({layer for _, layer in tracer.METRICS.values() if layer is not None})
 
 
@@ -71,26 +76,12 @@ def test_traced_hitting_series_keeps_cli_output(monkeypatch, capsys, tmp_path):
     assert traced.counters["walks.dp.distinct_states"] == 5 + 13
 
 
-WORKLOADS_PATH = TRACER_PATH.with_name("workloads.py")
-
-
-def _load_workloads():
-    """Execute workloads.py from its source, writing no bytecode next to it."""
-    module = types.ModuleType("perfbench_workloads")
-    code = compile(WORKLOADS_PATH.read_text(), str(WORKLOADS_PATH), "exec")
-    exec(code, module.__dict__)
-    return module
-
-
-workloads = _load_workloads()
-
-
 @pytest.mark.parametrize("name", sorted(workloads.WORKLOADS))
 def test_workload_checks_pass(name, tmp_path):
     # one untraced pass of the benchmark workload, judged by its own checks:
     # these read the names and the CLI bytes that the benchmark depends on
     inputs, solve, check, _ = workloads.WORKLOADS[name]
-    given = inputs(1, str(TRACER_PATH.parents[1]))
+    given = inputs(1, str(ROOT))
     checks = check(given, solve(given, tracer.NullTracer(), str(tmp_path)))
     assert checks and all(ok is True for ok in checks), (
         "workload %r: checks %s fail" % (name, [i for i, ok in enumerate(checks) if ok is not True])

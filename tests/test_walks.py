@@ -1,6 +1,7 @@
 """Random walks on braid images: exact laws, hitting series, finite quotients."""
 
 import time
+import tracemalloc
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -236,6 +237,20 @@ def test_bruteforce_refused_before_enumeration(l, p, monkeypatch):
         enumerate_sp(l, p)  # refused at the call, with no iteration
     with pytest.raises(ValueError):
         count_group_bruteforce(l, p)
+
+
+def test_symplectic_group_peak_memory():
+    # SL(2, 53), the set-up of PSL(2, 53), the largest group in the
+    # projective budget: the int16 pairing table over its 2809 codes is
+    # 15.8 MB, and the search holds at most one level's mask beside it
+    tracemalloc.start()
+    try:
+        group = walks._symplectic_group(1, 53)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert group.shape == (sp_order(1, 53), 2, 2)
+    assert peak < 26 * 2 ** 20, "peak %.1f MiB" % (peak / 2 ** 20)
 
 
 def test_zero_density_anchors():
