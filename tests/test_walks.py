@@ -242,7 +242,9 @@ def test_bruteforce_refused_before_enumeration(l, p, monkeypatch):
 def test_symplectic_group_peak_memory():
     # SL(2, 53), the set-up of PSL(2, 53), the largest group in the
     # projective budget: the int16 pairing table over its 2809 codes is
-    # 15.8 MB, and the search holds at most one level's mask beside it
+    # 15.8 MB and its uint8 copy 7.9 MB; a second int16 table alive at
+    # once (a residue taken out of place) or a level holding three uint8
+    # tables' worth beside the copy would pass the bound
     tracemalloc.start()
     try:
         group = walks._symplectic_group(1, 53)
