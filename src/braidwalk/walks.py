@@ -262,6 +262,12 @@ def _booleans(result, shape: tuple, contract: str):
     return hit
 
 
+def _entry_hits(test, values: np.ndarray) -> np.ndarray:
+    """test(values), refused unless it is booleans of the shape of values."""
+    return _booleans(test(values), values.shape,
+                     "an entry test must map an array of entries to booleans of its shape")
+
+
 _PAIR_BLOCK = 1 << 22
 """Most (row, column) pairs the entry path tests at once; a block holds
 their int64 entries and boolean hits."""
@@ -293,11 +299,7 @@ def _entry_series(mu: GenMeasure, rep, kmax: int, entry, test) -> list[Fraction]
         step = max(1, _PAIR_BLOCK // c.shape[1])
         hits = 0
         for lo in range(0, len(r), step):
-            values = r[lo:lo + step] @ c
-            hit = _booleans(
-                test(values), values.shape,
-                "an entry test must map an array of entries to booleans of its shape",
-            )
+            hit = _entry_hits(test, r[lo:lo + step] @ c)
             hits += r_counts[lo:lo + step] @ (hit @ c_counts)
         series.append(Fraction(int(hits), r_scale * c_scale))
     return series
@@ -323,9 +325,25 @@ def hitting_series(
     ]
 
 
-_MC_BATCH = 100_000
-"""Walks sampled per batch by monte_carlo_hitting; the batches draw from one
-generator, so the seeded output does not depend on this size."""
+_MC_BATCH = 8192
+"""Walks sampled per block by monte_carlo_hitting.  A block draws the k
+uniforms of each of its walks in one rng.random((n, k)) call, so the
+generator's stream is read walk by walk and the seeded output does not
+depend on this size; it bounds a block at n k floats and n states."""
+
+
+def _atom_picks(cum: np.ndarray, draws: np.ndarray) -> np.ndarray:
+    """The atom index of each uniform draw: how many of cum[:-1] are <= it.
+
+    cum holds the cumulative atom weights with cum[-1] = 1.0 > every draw,
+    so this is np.searchsorted(cum, draws, side="right"), in one comparison
+    per atom rather than a binary search per draw.
+    """
+    import numpy as np
+    picks = np.zeros(len(draws), dtype=np.intp)
+    for edge in cum[:-1]:
+        picks += draws >= edge
+    return picks
 
 
 def monte_carlo_hitting(
@@ -339,17 +357,25 @@ def monte_carlo_hitting(
     """Monte Carlo estimate of the step-k hitting probability.
 
     Samples products of k atom images with numpy int64 matmuls and checks
-    the predicate after every step, so one run gives every prefix.  Entries
-    of Burau images grow geometrically, so k is refused before sampling when
-    (largest row-sum norm of an atom image)^k >= 2^62, the a priori bound on
-    every entry and partial sum of a k-fold product, as in hitting_series.
-    predicate is a name from PREDICATES or a function on stacked states.
+    the predicate after every step, so one run gives every prefix.  Walks
+    are stepped in blocks of _MC_BATCH.  An entry predicate (one that
+    carries entry = (i, j), such as predicate_z11) reads m_ij alone, and
+    row i of a product is e_i times it, so its walks carry row i only, an
+    (n, 1, d) block; any other predicate walks the (n, d, d) matrices.
+    Entries of Burau images grow geometrically, so k is refused before
+    sampling when (largest row-sum norm of an atom image)^k >= 2^62, the a
+    priori bound on every entry and partial sum of a k-fold product, as in
+    hitting_series.  predicate is a name from PREDICATES or a function on
+    stacked states; trials, k and seed must be ints.
 
     Returns a dict with estimate, stderr, a 95% normal-approximation
     confidence interval, raw hit/trial counts, the seed, and hits_by_step:
     the hit counts after 0..k steps of the same sampled walks.
     """
     import numpy as np
+    for name, value in (("trials", trials), ("k", k), ("seed", seed)):
+        if not isinstance(value, int) or isinstance(value, bool):
+            raise ValueError("%s must be an int, got %r" % (name, value))
     if trials <= 0:
         raise ValueError("trials must be positive")
     if seed < 0:
@@ -357,21 +383,28 @@ def monte_carlo_hitting(
     if isinstance(predicate, str):
         predicate = _named(PREDICATES, predicate, "predicate")
     mats, weights, denom = _walk_atoms(mu, rep, k)
-    d = mats.shape[1]
+    start = np.eye(mats.shape[1], dtype=np.int64)
+    if hasattr(predicate, "entry"):
+        i, j = predicate.entry
+        start = start[[i]]
+
+        def hits(states):
+            return _entry_hits(predicate.test, states[:, 0, j])
+    else:
+        def hits(states):
+            return _hits(predicate, states)
     cum = np.cumsum(weights.astype(np.float64) / denom)
     cum[-1] = 1.0
     rng = np.random.default_rng(seed)
     hits_by_step = [0] * (k + 1)
-    done = 0
-    while done < trials:
+    for done in range(0, trials, _MC_BATCH):
         n = min(_MC_BATCH, trials - done)
-        picks = np.searchsorted(cum, rng.random((n, k)), side="right")
-        cur = np.broadcast_to(np.eye(d, dtype=np.int64), (n, d, d)).copy()
-        hits_by_step[0] += int(_hits(predicate, cur).sum())
+        draws = rng.random((n, k))
+        cur = np.broadcast_to(start, (n,) + start.shape).copy()
+        hits_by_step[0] += int(hits(cur).sum())
         for step in range(k):
-            cur = cur @ mats[picks[:, step]]
-            hits_by_step[step + 1] += int(_hits(predicate, cur).sum())
-        done += n
+            cur = cur @ np.take(mats, _atom_picks(cum, draws[:, step]), axis=0)
+            hits_by_step[step + 1] += int(hits(cur).sum())
 
     hits = hits_by_step[k]
     est = hits / trials

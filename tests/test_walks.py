@@ -139,7 +139,7 @@ def test_monte_carlo_hits_by_step():
         assert abs(by_step[k] / 3000 - exact) < 5 * (exact * (1 - exact) / 3000) ** 0.5
 
 
-def test_monte_carlo_validation():
+def test_monte_carlo_validation(monkeypatch):
     with pytest.raises(ValueError):
         monte_carlo_hitting(MU3, "z11", 62, trials=10)  # 2^62 entry bound
     with pytest.raises(ValueError):
@@ -150,6 +150,18 @@ def test_monte_carlo_validation():
         monte_carlo_hitting(MU3, "no-such-predicate", 3, trials=10)
     with pytest.raises(ValueError, match=r"seed must be >= 0, got -1"):
         monte_carlo_hitting(MU3, "z11", 3, trials=10, seed=-1)
+
+    # a count that is not an int, a bool included, is refused by name
+    # before any work
+    def no_work(*args, **kwargs):
+        raise AssertionError("the walk started")
+
+    monkeypatch.setattr(walks, "_walk_atoms", no_work)
+    for name, value in [("trials", 1000.0), ("trials", True), ("k", 3.0), ("k", True),
+                        ("seed", 1.5), ("seed", False)]:
+        call = {"k": 3, "trials": 10, "seed": 1, name: value}
+        with pytest.raises(ValueError, match=r"^%s must be an int, got %r$" % (name, value)):
+            monte_carlo_hitting(MU3, "z11", call.pop("k"), **call)
 
 
 @pytest.mark.parametrize("predicate", [
@@ -174,6 +186,87 @@ def test_monte_carlo_refuses_overflow_before_sampling(monkeypatch):
     # 5-strand images have row-sum norm 3 and 3^40 > 2^62
     with pytest.raises(ValueError, match="2\\^62"):
         monte_carlo_hitting(GenMeasure.uniform_generators(5), "z11", 40, trials=10)
+
+
+def _row_only(entry, test):
+    """An entry predicate that may only be tested on its entry: calling it
+    on matrices fails."""
+    def predicate(states):
+        raise AssertionError("the matrices were walked")
+
+    predicate.entry, predicate.test = entry, test
+    return predicate
+
+
+@pytest.mark.parametrize("batch", [1, 7, 8192, 10 ** 6])
+@pytest.mark.parametrize("strands,k", [(3, 8), (5, 5)])
+@pytest.mark.parametrize("predicate", [
+    "z11", lambda s: s[:, 0].sum(axis=1) > 1,
+], ids=["z11", "row-sum"])
+def test_monte_carlo_does_not_depend_on_the_block_size(batch, strands, k, predicate, monkeypatch):
+    # 8195 walks fill no whole number of blocks of 7 or 8192; blocks of one
+    # walk take 301 walks, against the same 301 in a single block
+    trials = 301 if batch == 1 else 8195
+    mu = GenMeasure.uniform_generators(strands)
+    monkeypatch.setattr(walks, "_MC_BATCH", 10 ** 7)
+    one_block = monte_carlo_hitting(mu, predicate, k, trials=trials, seed=5)
+    monkeypatch.setattr(walks, "_MC_BATCH", batch)
+    blocks = monte_carlo_hitting(mu, predicate, k, trials=trials, seed=5)
+    assert blocks["hits_by_step"] == one_block["hits_by_step"]
+    assert 0 < blocks["hits"] < trials
+
+
+@pytest.mark.parametrize("skewed", [False, True])
+@pytest.mark.parametrize("strands,k", [(3, 10), (5, 6)])
+@pytest.mark.parametrize("entry,test", [
+    ((0, 0), lambda v: abs(v) > 2),
+    ((1, 0), lambda v: v < 0),
+    ((0, 1), lambda v: v > 1),
+], ids=["z11", "m21-negative", "m12-above-1"])
+def test_monte_carlo_row_walk_matches_matrix_walk(skewed, strands, k, entry, test):
+    mu = _skewed(strands) if skewed else GenMeasure.uniform_generators(strands)
+    i, j = entry
+    rows = monte_carlo_hitting(mu, _row_only(entry, test), k, trials=9000, seed=2)
+    matrices = monte_carlo_hitting(mu, lambda s: test(s[:, i, j]), k, trials=9000, seed=2)
+    assert rows == matrices
+    if entry == (0, 0):
+        assert monte_carlo_hitting(mu, predicate_z11, k, trials=9000, seed=2) == rows
+    assert 0 < rows["hits"] < 9000
+
+
+@st.composite
+def _cumulative_weights_and_draws(draw):
+    nums = draw(st.lists(st.integers(min_value=1, max_value=2 ** 20), min_size=1, max_size=24))
+    cum = np.cumsum(np.array(nums, dtype=np.float64) / sum(nums))
+    cum[-1] = 1.0
+    # draws in [0, 1), among them the cumulative weights themselves
+    edges = st.sampled_from([0.0] + cum[:-1].tolist())
+    floats = st.floats(min_value=0.0, max_value=1.0, exclude_max=True)
+    return cum, np.array(draw(st.lists(edges | floats, min_size=1, max_size=50)))
+
+
+@given(_cumulative_weights_and_draws())
+@example((np.array([0.25, 0.5, 0.75, 1.0]), np.array([0.0, 0.25, 0.5, 0.75, 0.9999])))
+@settings(max_examples=200, deadline=None)
+def test_atom_picks_match_searchsorted(cum_draws):
+    cum, draws = cum_draws
+    picks = walks._atom_picks(cum, draws)
+    assert picks.tolist() == np.searchsorted(cum, draws, side="right").tolist()
+
+
+def test_monte_carlo_peak_memory():
+    # 50 000 walks of 12 steps: a block of 8192 walks draws 0.75 MiB of
+    # uniforms and steps 128 KiB of rows; one block of all the walks would
+    # hold 4.6 MiB of draws alone
+    monte_carlo_hitting(MU3, "z11", 2, trials=10, seed=1)
+    tracemalloc.start()
+    try:
+        out = monte_carlo_hitting(MU3, "z11", 12, trials=50_000, seed=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert out["hits"] == 24151
+    assert peak < 3 * 2 ** 20, "peak %.1f MiB" % (peak / 2 ** 20)
 
 
 def test_dp_and_monte_carlo_share_the_entry_bound():
@@ -639,6 +732,17 @@ def test_z11_entry_path_matches_matrix_dp_to_16_steps():
 def test_entry_test_must_give_bools_of_the_block_shape(test):
     with pytest.raises(ValueError, match="an entry test must map"):
         hitting_series(MU3, _entry_predicate((0, 0), test), 4)
+
+
+@pytest.mark.parametrize("test", [
+    lambda v: np.abs(v),
+    lambda v: bool((np.abs(v) > 2).any()),
+], ids=["not-bool", "scalar"])
+def test_monte_carlo_entry_test_must_give_one_bool_per_walk(test):
+    # the row walk tests the entry of each sampled row under the entry
+    # path's contract
+    with pytest.raises(ValueError, match="an entry test must map"):
+        monte_carlo_hitting(MU3, _entry_predicate((0, 0), test), 4, trials=100, seed=1)
 
 
 def test_both_paths_refuse_entry_overflow_before_work(monkeypatch):
