@@ -39,6 +39,7 @@ polynomials count over the same list.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, permutations
@@ -332,18 +333,15 @@ generator's stream is read walk by walk and the seeded output does not
 depend on this size; it bounds a block at n k floats and n states."""
 
 
-def _atom_picks(cum: np.ndarray, draws: np.ndarray) -> np.ndarray:
-    """The atom index of each uniform draw: how many of cum[:-1] are <= it.
-
-    cum holds the cumulative atom weights with cum[-1] = 1.0 > every draw,
-    so this is np.searchsorted(cum, draws, side="right"), in one comparison
-    per atom rather than a binary search per draw.
-    """
-    import numpy as np
-    picks = np.zeros(len(draws), dtype=np.intp)
-    for edge in cum[:-1]:
-        picks += draws >= edge
-    return picks
+def _count(name: str, value) -> int:
+    """value taken through operator.index, so a numpy integer becomes an
+    int; a bool, float or string is refused with ValueError by name."""
+    if not isinstance(value, bool):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise ValueError("%s must be an int, got %r" % (name, value))
 
 
 def monte_carlo_hitting(
@@ -366,16 +364,16 @@ def monte_carlo_hitting(
     sampling when (largest row-sum norm of an atom image)^k >= 2^62, the a
     priori bound on every entry and partial sum of a k-fold product, as in
     hitting_series.  predicate is a name from PREDICATES or a function on
-    stacked states; trials, k and seed must be ints.
+    stacked states; trials, k and seed must be ints (numpy integers are
+    taken through operator.index, bools are refused).
 
     Returns a dict with estimate, stderr, a 95% normal-approximation
     confidence interval, raw hit/trial counts, the seed, and hits_by_step:
     the hit counts after 0..k steps of the same sampled walks.
     """
     import numpy as np
-    for name, value in (("trials", trials), ("k", k), ("seed", seed)):
-        if not isinstance(value, int) or isinstance(value, bool):
-            raise ValueError("%s must be an int, got %r" % (name, value))
+    trials, k, seed = (_count(name, value) for name, value in
+                       (("trials", trials), ("k", k), ("seed", seed)))
     if trials <= 0:
         raise ValueError("trials must be positive")
     if seed < 0:
@@ -403,7 +401,8 @@ def monte_carlo_hitting(
         cur = np.broadcast_to(start, (n,) + start.shape).copy()
         hits_by_step[0] += int(hits(cur).sum())
         for step in range(k):
-            cur = cur @ np.take(mats, _atom_picks(cum, draws[:, step]), axis=0)
+            picks = np.searchsorted(cum, draws[:, step], side="right")
+            cur = cur @ np.take(mats, picks, axis=0)
             hits_by_step[step + 1] += int(hits(cur).sum())
 
     hits = hits_by_step[k]

@@ -162,6 +162,13 @@ def test_monte_carlo_validation(monkeypatch):
         call = {"k": 3, "trials": 10, "seed": 1, name: value}
         with pytest.raises(ValueError, match=r"^%s must be an int, got %r$" % (name, value)):
             monte_carlo_hitting(MU3, "z11", call.pop("k"), **call)
+    monkeypatch.undo()
+
+    # numpy integers, as np.arange gives them, run like ints
+    out = monte_carlo_hitting(MU3, "z11", np.int64(5), trials=np.int64(1000), seed=np.int64(3))
+    assert out == monte_carlo_hitting(MU3, "z11", 5, trials=1000, seed=3)
+    assert out["hits_by_step"] == monte_carlo_hitting(
+        MU3, "z11", np.int32(5), trials=np.uint16(1000), seed=np.int8(3))["hits_by_step"]
 
 
 @pytest.mark.parametrize("predicate", [
@@ -232,26 +239,6 @@ def test_monte_carlo_row_walk_matches_matrix_walk(skewed, strands, k, entry, tes
     if entry == (0, 0):
         assert monte_carlo_hitting(mu, predicate_z11, k, trials=9000, seed=2) == rows
     assert 0 < rows["hits"] < 9000
-
-
-@st.composite
-def _cumulative_weights_and_draws(draw):
-    nums = draw(st.lists(st.integers(min_value=1, max_value=2 ** 20), min_size=1, max_size=24))
-    cum = np.cumsum(np.array(nums, dtype=np.float64) / sum(nums))
-    cum[-1] = 1.0
-    # draws in [0, 1), among them the cumulative weights themselves
-    edges = st.sampled_from([0.0] + cum[:-1].tolist())
-    floats = st.floats(min_value=0.0, max_value=1.0, exclude_max=True)
-    return cum, np.array(draw(st.lists(edges | floats, min_size=1, max_size=50)))
-
-
-@given(_cumulative_weights_and_draws())
-@example((np.array([0.25, 0.5, 0.75, 1.0]), np.array([0.0, 0.25, 0.5, 0.75, 0.9999])))
-@settings(max_examples=200, deadline=None)
-def test_atom_picks_match_searchsorted(cum_draws):
-    cum, draws = cum_draws
-    picks = walks._atom_picks(cum, draws)
-    assert picks.tolist() == np.searchsorted(cum, draws, side="right").tolist()
 
 
 def test_monte_carlo_peak_memory():
