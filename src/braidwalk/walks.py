@@ -2,8 +2,10 @@
 
 A step measure is a finitely supported probability measure mu on B(n).  The
 k-fold convolution mu^(k) is the law of a product of k independent
-mu-distributed letters; pushing it forward through burau_minus1 gives a walk
-on an integer matrix group, and for odd n that group sits inside Sp(n-1, Z).
+mu-distributed letters; the exact and Monte Carlo walks push it forward
+through burau_minus1.  For odd n that is rho_n in Sp(n-1, Z), the matrix
+symplectic_image returns; for even n it is the (n-1)-dimensional image that
+preserves the degenerate form J, not rho_n.  finite_walk_tv walks rho_n mod p.
 
 Everything on the exact side is integer arithmetic: the law after k steps is
 a sorted int64 array of distinct states with integer numerators over a
@@ -116,12 +118,12 @@ def _atom_images(mu: GenMeasure, rep) -> tuple[np.ndarray, list, int]:
     return mats, wnums, denom
 
 
-def _walk_atoms(mu: GenMeasure, rep, k: int) -> tuple[np.ndarray, np.ndarray, int]:
-    """_atom_images for a walk of k steps, after the checks that the exact DP
-    and Monte Carlo share: k >= 0, and k refused when a product of k atom
-    images could leave int64.  The weight numerators come as an array typed
-    for the walk's counts: int64 while denom^k < 2^63, exact Python ints
-    (object dtype) beyond.
+def _walk_atoms(mu: GenMeasure, k: int) -> tuple[np.ndarray, np.ndarray, int]:
+    """_atom_images under burau_minus1 for a walk of k steps, after the checks
+    that the exact DP and Monte Carlo share: k >= 0, and k refused when a
+    product of k atom images could leave int64.  The weight numerators come
+    as an array typed for the walk's counts: int64 while denom^k < 2^63,
+    exact Python ints (object dtype) beyond.
 
     (largest row-sum norm of an atom image)^k bounds every entry and every
     partial sum of such a product, so the check runs before any work.
@@ -129,7 +131,7 @@ def _walk_atoms(mu: GenMeasure, rep, k: int) -> tuple[np.ndarray, np.ndarray, in
     import numpy as np
     if k < 0:
         raise ValueError("step count must be >= 0")
-    mats, wnums, denom = _atom_images(mu, rep)
+    mats, wnums, denom = _atom_images(mu, burau_minus1)
     norm = int(np.abs(mats).sum(axis=2).max())
     if norm ** k >= 2 ** 62:
         raise ValueError(
@@ -192,16 +194,6 @@ def _laws(mats: np.ndarray, weights: np.ndarray, denom: int, kmax: int, start: n
         yield states, counts, denom ** k
 
 
-def _walk_laws(mu: GenMeasure, rep, kmax: int):
-    """Exact laws of the matrix walk at steps k = 0..kmax: _laws from the
-    identity with the weights of _walk_atoms, which refuses kmax before any
-    work when entries could leave int64.
-    """
-    import numpy as np
-    mats, weights, denom = _walk_atoms(mu, rep, kmax)
-    return _laws(mats, weights, denom, kmax, np.eye(mats.shape[1], dtype=np.int64))
-
-
 # ---------------------------------------------------------------------------
 # hitting probabilities
 
@@ -243,16 +235,22 @@ def _named(table: dict, name, kind: str):
     return table[name]
 
 
-def _hits(predicate, states: np.ndarray) -> np.ndarray:
-    """predicate(states), refused unless it is N booleans for the N states: a
-    predicate written for one nested-tuple matrix answers about its rows."""
-    return _booleans(predicate(states), states.shape[:1],
-                     "a predicate must map an (N, d, d) array to N booleans")
+def _count(name: str, value) -> int:
+    """value taken through operator.index, so a numpy integer becomes an
+    int; a bool, float or string is refused with ValueError by name."""
+    if not isinstance(value, bool):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise ValueError("%s must be an int, got %r" % (name, value))
 
 
 def _booleans(result, shape: tuple, contract: str):
-    """result as a bool array of the given shape; any other result is
-    refused with ValueError, the message opening with the contract."""
+    """result as a bool array of the given shape: the one check of what a
+    predicate or an entry test returns.  Any other result, such as the rows
+    that a predicate written for one nested-tuple matrix gives, is refused
+    with ValueError, the message opening with the contract."""
     import numpy as np
     hit = np.asarray(result)
     if hit.dtype != bool or hit.shape != shape:
@@ -263,10 +261,8 @@ def _booleans(result, shape: tuple, contract: str):
     return hit
 
 
-def _entry_hits(test, values: np.ndarray) -> np.ndarray:
-    """test(values), refused unless it is booleans of the shape of values."""
-    return _booleans(test(values), values.shape,
-                     "an entry test must map an array of entries to booleans of its shape")
+_PREDICATE_CONTRACT = "a predicate must map an (N, d, d) array to N booleans"
+_ENTRY_CONTRACT = "an entry test must map an array of entries to booleans of its shape"
 
 
 _PAIR_BLOCK = 1 << 22
@@ -274,20 +270,20 @@ _PAIR_BLOCK = 1 << 22
 their int64 entries and boolean hits."""
 
 
-def _entry_series(mu: GenMeasure, rep, kmax: int, entry, test) -> list[Fraction]:
-    """P(test(m_ij(X_k))) for k = 0..kmax by meet in the middle.
+def _entry_series(mats, weights, denom: int, kmax: int, entry, test) -> list[Fraction]:
+    """P(test(m_ij(X_k))) for k = 0..kmax by meet in the middle, on the
+    atoms of _walk_atoms(mu, kmax).
 
     m_ij(X_{a+b}) = row_i(X_a) . col_j(Y_b), where Y_b is the product of the
     next b steps: independent of X_a and distributed as X_b.  The row laws
     start from e_i; the column laws are the row walk of the transposed atom
     images from e_j.  Step k pairs the row law at a = k // 2 with the column
     law at b = k - a and sums count(r) count(c) over the pairs that hit.
-    The prologue's bound on (row-sum norm)^kmax covers every dot product
-    and its partial sums, and the counts are sized for denom^kmax, the
-    largest weighted pair sum.
+    The bound of _walk_atoms on (row-sum norm)^kmax covers every dot
+    product and its partial sums, and the counts are sized for denom^kmax,
+    the largest weighted pair sum.
     """
     import numpy as np
-    mats, weights, denom = _walk_atoms(mu, rep, kmax)
     eye = np.eye(mats.shape[1], dtype=np.int64)
     i, j = entry
     half = kmax // 2
@@ -300,30 +296,39 @@ def _entry_series(mu: GenMeasure, rep, kmax: int, entry, test) -> list[Fraction]
         step = max(1, _PAIR_BLOCK // c.shape[1])
         hits = 0
         for lo in range(0, len(r), step):
-            hit = _entry_hits(test, r[lo:lo + step] @ c)
+            values = r[lo:lo + step] @ c
+            hit = _booleans(test(values), values.shape, _ENTRY_CONTRACT)
             hits += r_counts[lo:lo + step] @ (hit @ c_counts)
         series.append(Fraction(int(hits), r_scale * c_scale))
     return series
 
 
-def hitting_series(
-    mu: GenMeasure, predicate, kmax: int, rep=burau_minus1
-) -> list[Fraction]:
+def hitting_series(mu: GenMeasure, predicate, kmax: int) -> list[Fraction]:
     """Exact values of P(predicate holds at step k) for k = 0..kmax.
 
+    The walk steps burau_minus1: rho_n for odd n (the matrix symplectic_image
+    returns) and, for even n, the (n-1)-dimensional image that preserves the
+    degenerate form J, not rho_n.
     predicate is a name from PREDICATES or a function on stacked states.  A
     predicate that reads one entry (one built by _entry_predicate, such as
     predicate_z11) takes the meet-in-the-middle path, _entry_series; any
     other runs once per step on the distinct matrices of the matrix DP.
+    kmax must be an int (numpy integers are taken through operator.index,
+    bools are refused).
     """
+    import numpy as np
+    kmax = _count("kmax", kmax)
     if isinstance(predicate, str):
         predicate = _named(PREDICATES, predicate, "predicate")
+    mats, weights, denom = _walk_atoms(mu, kmax)
     if hasattr(predicate, "entry"):
-        return _entry_series(mu, rep, kmax, predicate.entry, predicate.test)
-    return [
-        Fraction(int(counts[_hits(predicate, states)].sum()), scale)
-        for states, counts, scale in _walk_laws(mu, rep, kmax)
-    ]
+        return _entry_series(mats, weights, denom, kmax, predicate.entry, predicate.test)
+    eye = np.eye(mats.shape[1], dtype=np.int64)
+    series = []
+    for states, counts, scale in _laws(mats, weights, denom, kmax, eye):
+        hit = _booleans(predicate(states), states.shape[:1], _PREDICATE_CONTRACT)
+        series.append(Fraction(int(counts[hit].sum()), scale))
+    return series
 
 
 _MC_BATCH = 8192
@@ -333,29 +338,18 @@ generator's stream is read walk by walk and the seeded output does not
 depend on this size; it bounds a block at n k floats and n states."""
 
 
-def _count(name: str, value) -> int:
-    """value taken through operator.index, so a numpy integer becomes an
-    int; a bool, float or string is refused with ValueError by name."""
-    if not isinstance(value, bool):
-        try:
-            return operator.index(value)
-        except TypeError:
-            pass
-    raise ValueError("%s must be an int, got %r" % (name, value))
-
-
 def monte_carlo_hitting(
     mu: GenMeasure,
     predicate,
     k: int,
     trials: int = 100_000,
     seed: int = 0,
-    rep=burau_minus1,
 ) -> dict:
     """Monte Carlo estimate of the step-k hitting probability.
 
     Samples products of k atom images with numpy int64 matmuls and checks
-    the predicate after every step, so one run gives every prefix.  Walks
+    the predicate after every step, so one run gives every prefix.  It steps
+    burau_minus1, as hitting_series does: rho_n for odd n only.  Walks
     are stepped in blocks of _MC_BATCH.  An entry predicate (one that
     carries entry = (i, j), such as predicate_z11) reads m_ij alone, and
     row i of a product is e_i times it, so its walks carry row i only, an
@@ -380,17 +374,18 @@ def monte_carlo_hitting(
         raise ValueError("seed must be >= 0, got %d" % seed)
     if isinstance(predicate, str):
         predicate = _named(PREDICATES, predicate, "predicate")
-    mats, weights, denom = _walk_atoms(mu, rep, k)
+    mats, weights, denom = _walk_atoms(mu, k)
     start = np.eye(mats.shape[1], dtype=np.int64)
     if hasattr(predicate, "entry"):
         i, j = predicate.entry
         start = start[[i]]
 
         def hits(states):
-            return _entry_hits(predicate.test, states[:, 0, j])
+            return _booleans(predicate.test(states[:, 0, j]), states.shape[:1],
+                             _ENTRY_CONTRACT)
     else:
         def hits(states):
-            return _hits(predicate, states)
+            return _booleans(predicate(states), states.shape[:1], _PREDICATE_CONTRACT)
     cum = np.cumsum(weights.astype(np.float64) / denom)
     cum[-1] = 1.0
     rng = np.random.default_rng(seed)
@@ -437,7 +432,9 @@ def _is_prime(p: int) -> bool:
 
 
 def sp_order(l: int, p: int) -> int:
-    """|Sp(2l, F_p)| = prod_{m=1..l} (p^(2m) - 1) p^(2m-1)."""
+    """|Sp(2l, F_p)| = prod_{m=1..l} (p^(2m) - 1) p^(2m-1).  l and p must be
+    ints, as in _count."""
+    l, p = _count("l", l), _count("p", p)
     if l < 1:
         raise ValueError("l must be >= 1")
     if not _is_prime(p):
@@ -583,10 +580,12 @@ def finite_walk_tv(
     denom^k on the subgroup H that the images generate, which a
     reachability pass over the permutations finds; each element off H adds
     its uniform mass 1/|G| to the TV.  If H is not all of G the TV floor is
-    positive and `generated` is False.  Groups above MAX_GROUP_ORDER and
-    negative step counts are refused before any work.
+    positive and `generated` is False.  Groups above MAX_GROUP_ORDER,
+    negative step counts and a steps or p that is not an int (as in _count)
+    are refused before any work.
     """
     import numpy as np
+    steps, p = _count("steps", steps), _count("p", p)
     if steps < 0:
         raise ValueError("step count must be >= 0")
     n = mu.strands

@@ -21,7 +21,6 @@ from braidwalk.walks import (
     enumerate_sp,
     finite_walk_tv,
     _entry_predicate,
-    _walk_laws,
     hitting_series,
     monte_carlo_hitting,
     predicate_all_entries_big,
@@ -37,6 +36,16 @@ from fp_oracle import FpMatrix, finite_step_distribution, reduce_mod_p
 from linalg_oracle import det_laplace
 
 MU3 = GenMeasure.uniform_generators(3)
+
+
+def _walk_laws(mu, rep, kmax):
+    """Exact laws of the walk on the rep images of the atoms at steps
+    k = 0..kmax: walks._laws from the identity, with the weights and count
+    dtype of walks._walk_atoms, which also refuses kmax < 0.  The walk API
+    steps burau_minus1 alone; rep = symplectic_image steps rho_n."""
+    _, weights, denom = walks._walk_atoms(mu, kmax)
+    mats = walks._atom_images(mu, rep)[0]
+    return walks._laws(mats, weights, denom, kmax, np.eye(mats.shape[1], dtype=np.int64))
 
 
 def _law(mu, rep, k):
@@ -169,6 +178,48 @@ def test_monte_carlo_validation(monkeypatch):
     assert out == monte_carlo_hitting(MU3, "z11", 5, trials=1000, seed=3)
     assert out["hits_by_step"] == monte_carlo_hitting(
         MU3, "z11", np.int32(5), trials=np.uint16(1000), seed=np.int8(3))["hits_by_step"]
+
+
+def test_walk_counts_validation(monkeypatch):
+    # every other count of the walk API is taken as monte_carlo_hitting
+    # takes its counts: a non-int, a bool included, is refused by name
+    # before any work
+    def no_work(*args, **kwargs):
+        raise AssertionError("the work started")
+
+    monkeypatch.setattr(walks, "_walk_atoms", no_work)
+    monkeypatch.setattr(walks, "_symplectic_group", no_work)
+    for name, value, call in [
+        ("kmax", 3.0, lambda v: hitting_series(MU3, "z11", v)),
+        ("kmax", True, lambda v: hitting_series(MU3, "z11", v)),
+        ("steps", 2.0, lambda v: finite_walk_tv(MU3, 7, steps=v)),
+        ("steps", True, lambda v: finite_walk_tv(MU3, 7, steps=v)),
+        ("p", 7.0, lambda v: finite_walk_tv(MU3, v)),
+        ("p", 5.0, lambda v: zero_density("m11", 1, v)),
+        ("l", 1.0, lambda v: zero_density("m11", v, 5)),
+        ("p", 5.0, lambda v: sp_order(1, v)),
+        ("l", True, lambda v: sp_order(v, 5)),
+        ("p", 7.0, lambda v: psp_order(1, v)),
+        ("l", "1", lambda v: enumerate_sp(v, 3)),
+        ("p", 3.0, lambda v: count_group_bruteforce(1, v)),
+    ]:
+        with pytest.raises(ValueError, match=r"^%s must be an int, got %r$" % (name, value)):
+            call(value)
+    # the range checks keep their texts
+    with pytest.raises(ValueError, match=r"^step count must be >= 0$"):
+        finite_walk_tv(MU3, 7, steps=-1)
+    with pytest.raises(ValueError, match=r"^l must be >= 1$"):
+        sp_order(0, 5)
+    monkeypatch.undo()
+    with pytest.raises(ValueError, match=r"^step count must be >= 0$"):
+        hitting_series(MU3, "z11", -1)
+
+    # numpy integers, as np.arange gives them, run like ints
+    assert hitting_series(MU3, "z11", np.int64(4)) == hitting_series(MU3, "z11", 4)
+    res = finite_walk_tv(MU3, np.int64(5), steps=np.int32(3))
+    assert res == finite_walk_tv(MU3, 5, steps=3) and type(res.p) is int
+    assert sp_order(np.int8(1), np.uint16(5)) == 120
+    assert zero_density("m11", np.int64(1), np.int32(5)) == Fraction(1, 6)
 
 
 @pytest.mark.parametrize("predicate", [
@@ -608,9 +659,7 @@ def test_walk_dp_matches_dict_oracle(strands, rep, skewed, predicate, data):
     if data is not None:
         kmax = data.draw(st.integers(min_value=0, max_value=kmax))
     fast, slow = (predicate, predicate) if isinstance(predicate, str) else predicate
-    assert hitting_series(mu, fast, kmax, rep=rep) == dp_oracle.hitting_series(
-        mu, slow, kmax, rep=rep
-    )
+    assert hitting_series(mu, fast, kmax) == dp_oracle.hitting_series(mu, slow, kmax)
     assert _law(mu, rep, kmax) == dp_oracle.step_distribution(mu, rep, kmax)
 
 
@@ -661,8 +710,7 @@ def test_distribution_total_is_one(k):
 @settings(max_examples=15, deadline=None)
 def test_hitting_series_in_unit_interval(strands, kmax):
     mu = GenMeasure.uniform_generators(strands)
-    rep = symplectic_image if strands % 2 == 0 else burau_minus1
-    for value in hitting_series(mu, lambda s: s[:, 0, 0] != 1, kmax, rep=rep):
+    for value in hitting_series(mu, lambda s: s[:, 0, 0] != 1, kmax):
         assert 0 <= value <= 1
 
 
@@ -678,19 +726,18 @@ def _entry_pair(i, j, test):
 
 @given(
     st.sampled_from([3, 4, 5]),
-    st.sampled_from([burau_minus1, symplectic_image]),
     st.booleans(),
     st.sampled_from(ENTRY_TESTS),
     st.data(),
 )
-@example(3, burau_minus1, True, ENTRY_TESTS[0], None)
-@example(3, burau_minus1, True, ENTRY_TESTS[2], None)
-@example(4, burau_minus1, False, ENTRY_TESTS[1], None)
-@example(5, symplectic_image, True, ENTRY_TESTS[0], None)
+@example(3, True, ENTRY_TESTS[0], None)
+@example(3, True, ENTRY_TESTS[2], None)
+@example(4, False, ENTRY_TESTS[1], None)
+@example(5, True, ENTRY_TESTS[0], None)
 @settings(max_examples=25, deadline=None)
-def test_entry_path_matches_matrix_dp(strands, rep, skewed, test, data):
+def test_entry_path_matches_matrix_dp(strands, skewed, test, data):
     mu = _skewed(strands) if skewed else GenMeasure.uniform_generators(strands)
-    d = len(rep(BraidWord(strands, (1,))))
+    d = len(burau_minus1(BraidWord(strands, (1,))))
     kmax = ORACLE_KMAX[strands]
     entries = [(i, j) for i in range(d) for j in range(d)]
     if data is not None:
@@ -698,9 +745,7 @@ def test_entry_path_matches_matrix_dp(strands, rep, skewed, test, data):
         entries = [data.draw(st.sampled_from(entries))]
     for i, j in entries:
         entry, plain = _entry_pair(i, j, test)
-        assert hitting_series(mu, entry, kmax, rep=rep) == hitting_series(
-            mu, plain, kmax, rep=rep
-        ), (i, j)
+        assert hitting_series(mu, entry, kmax) == hitting_series(mu, plain, kmax), (i, j)
 
 
 def test_z11_entry_path_matches_matrix_dp_to_16_steps():
@@ -742,3 +787,24 @@ def test_both_paths_refuse_entry_overflow_before_work(monkeypatch):
     for predicate in _entry_pair(1, 2, ENTRY_TESTS[0]) + ("z11", "all-entries"):
         with pytest.raises(ValueError, match="2\\^62"):
             hitting_series(mu5, predicate, 40)
+
+
+def test_hitting_series_sets_up_the_walk_once(monkeypatch):
+    calls = []
+    walk_atoms = walks._walk_atoms
+
+    def counted(*args):
+        calls.append(args)
+        return walk_atoms(*args)
+
+    monkeypatch.setattr(walks, "_walk_atoms", counted)
+    # the entry path and the matrix DP each build the atoms once
+    for predicate in ("z11", _entry_pair(1, 0, ENTRY_TESTS[1])[0], "all-entries", ROW1_SUM[0]):
+        calls.clear()
+        hitting_series(MU3, predicate, 5)
+        assert len(calls) == 1, predicate
+    # an unknown name is refused before the set-up
+    calls.clear()
+    with pytest.raises(ValueError, match=r"^unknown predicate 'nope'$"):
+        hitting_series(MU3, "nope", 3)
+    assert calls == []
