@@ -282,7 +282,7 @@ def build_parser():
     p.set_defaults(fn=_cmd_meyer)
 
     p = sub.add_parser(
-        "walk", help="hitting probabilities of the Burau walk, uniform on generators"
+        "walk", help="hitting probabilities of the walk on rho_n, uniform on generators"
     )
     p.add_argument("--strands", type=int, default=3)
     p.add_argument("--predicate", choices=tuple(PREDICATES), default="z11")

@@ -1,11 +1,10 @@
-"""Random walks on braid groups pushed through the Burau map at t = -1.
+"""Random walks on braid groups pushed through rho_n: B(n) -> Sp(2l, Z).
 
 A step measure is a finitely supported probability measure mu on B(n).  The
 k-fold convolution mu^(k) is the law of a product of k independent
-mu-distributed letters; the exact and Monte Carlo walks push it forward
-through burau_minus1.  For odd n that is rho_n in Sp(n-1, Z), the matrix
-symplectic_image returns; for even n it is the (n-1)-dimensional image that
-preserves the degenerate form J, not rho_n.  finite_walk_tv walks rho_n mod p.
+mu-distributed letters; every walk pushes it forward through
+symplectic_image, rho_n with l = [(n-1)/2] (the Burau map at t = -1, with
+the radical quotiented away for even n), and finite_walk_tv reduces it mod p.
 
 Everything on the exact side is integer arithmetic: the law after k steps is
 a sorted int64 array of distinct states with integer numerators over a
@@ -51,7 +50,7 @@ from numbers import Rational
 # numpy is imported inside each function that calls it, so that importing
 # braidwalk, and so every command that never walks, loads no numpy.
 from .braid import BraidWord
-from .burau import burau_minus1, intersection_form, symplectic_image
+from .burau import intersection_form, symplectic_image
 
 
 # ---------------------------------------------------------------------------
@@ -92,7 +91,9 @@ class GenMeasure:
 
     @classmethod
     def uniform_generators(cls, strands: int) -> "GenMeasure":
-        """Uniform measure on the 2(strands-1) generators and inverses."""
+        """Uniform measure on the 2(strands-1) generators and inverses;
+        strands is taken as in _count."""
+        strands = _count("strands", strands)
         if strands < 2:
             raise ValueError("need at least 2 strands, got %d" % strands)
         letters = []
@@ -106,24 +107,27 @@ class GenMeasure:
         return cls(atoms)
 
 
-def _atom_images(mu: GenMeasure, rep) -> tuple[np.ndarray, list, int]:
-    """Atom images as an (atoms, d, d) int64 array, and the atom weights as
-    integer numerators over their common denominator."""
+def _atom_images(mu: GenMeasure) -> tuple[np.ndarray, list, int]:
+    """Atom images under symplectic_image as an (atoms, 2l, 2l) int64 array,
+    and the atom weights as integer numerators over their common
+    denominator.  Fewer than 3 strands, where l = 0, are refused."""
     import numpy as np
+    if mu.strands < 3:
+        raise ValueError("need at least 3 strands for a symplectic image")
     denom = 1
     for _, weight in mu.atoms:
         denom = denom * weight.denominator // gcd(denom, weight.denominator)
-    mats = np.array([rep(word) for word, _ in mu.atoms], dtype=np.int64)
+    mats = np.array([symplectic_image(word) for word, _ in mu.atoms], dtype=np.int64)
     wnums = [weight.numerator * (denom // weight.denominator) for _, weight in mu.atoms]
     return mats, wnums, denom
 
 
 def _walk_atoms(mu: GenMeasure, k: int) -> tuple[np.ndarray, np.ndarray, int]:
-    """_atom_images under burau_minus1 for a walk of k steps, after the checks
-    that the exact DP and Monte Carlo share: k >= 0, and k refused when a
-    product of k atom images could leave int64.  The weight numerators come
-    as an array typed for the walk's counts: int64 while denom^k < 2^63,
-    exact Python ints (object dtype) beyond.
+    """_atom_images for a walk of k steps, after the checks that the exact
+    DP and Monte Carlo share: k >= 0, and k refused when a product of k atom
+    images could leave int64.  The weight numerators come as an array typed
+    for the walk's counts: int64 while denom^k < 2^63, exact Python ints
+    (object dtype) beyond.
 
     (largest row-sum norm of an atom image)^k bounds every entry and every
     partial sum of such a product, so the check runs before any work.
@@ -131,7 +135,7 @@ def _walk_atoms(mu: GenMeasure, k: int) -> tuple[np.ndarray, np.ndarray, int]:
     import numpy as np
     if k < 0:
         raise ValueError("step count must be >= 0")
-    mats, wnums, denom = _atom_images(mu, burau_minus1)
+    mats, wnums, denom = _atom_images(mu)
     norm = int(np.abs(mats).sum(axis=2).max())
     if norm ** k >= 2 ** 62:
         raise ValueError(
@@ -306,9 +310,6 @@ def _entry_series(mats, weights, denom: int, kmax: int, entry, test) -> list[Fra
 def hitting_series(mu: GenMeasure, predicate, kmax: int) -> list[Fraction]:
     """Exact values of P(predicate holds at step k) for k = 0..kmax.
 
-    The walk steps burau_minus1: rho_n for odd n (the matrix symplectic_image
-    returns) and, for even n, the (n-1)-dimensional image that preserves the
-    degenerate form J, not rho_n.
     predicate is a name from PREDICATES or a function on stacked states.  A
     predicate that reads one entry (one built by _entry_predicate, such as
     predicate_z11) takes the meet-in-the-middle path, _entry_series; any
@@ -348,13 +349,12 @@ def monte_carlo_hitting(
     """Monte Carlo estimate of the step-k hitting probability.
 
     Samples products of k atom images with numpy int64 matmuls and checks
-    the predicate after every step, so one run gives every prefix.  It steps
-    burau_minus1, as hitting_series does: rho_n for odd n only.  Walks
+    the predicate after every step, so one run gives every prefix.  Walks
     are stepped in blocks of _MC_BATCH.  An entry predicate (one that
     carries entry = (i, j), such as predicate_z11) reads m_ij alone, and
     row i of a product is e_i times it, so its walks carry row i only, an
     (n, 1, d) block; any other predicate walks the (n, d, d) matrices.
-    Entries of Burau images grow geometrically, so k is refused before
+    Entries of the images grow geometrically, so k is refused before
     sampling when (largest row-sum norm of an atom image)^k >= 2^62, the a
     priori bound on every entry and partial sum of a k-fold product, as in
     hitting_series.  predicate is a name from PREDICATES or a function on
@@ -588,17 +588,14 @@ def finite_walk_tv(
     steps, p = _count("steps", steps), _count("p", p)
     if steps < 0:
         raise ValueError("step count must be >= 0")
-    n = mu.strands
-    l = (n - 1) // 2
-    if l < 1:
-        raise ValueError("need at least 3 strands for a symplectic image")
+    mats, wnums, denom = _atom_images(mu)
+    d = mats.shape[1]
+    l = d // 2
     order = psp_order(l, p) if projective else sp_order(l, p)
     if p == 2:
         raise ValueError("p must be an odd prime")
     _check_budget(order)
 
-    mats, wnums, denom = _atom_images(mu, symplectic_image)
-    d = 2 * l
     g = mats % p
     j = np.array(intersection_form(d), dtype=np.int64)
     if ((g.transpose(0, 2, 1) @ j @ g - j) % p).any():

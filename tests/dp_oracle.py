@@ -11,7 +11,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd
 
-from braidwalk.burau import burau_minus1
+from braidwalk.burau import symplectic_image
 from braidwalk.linalg import Matrix, identity, mat_mul
 from braidwalk.walks import GenMeasure
 
@@ -42,16 +42,17 @@ def _mul_flat_2(a: tuple, b: tuple) -> tuple:
     )
 
 
-def _atom_images(mu: GenMeasure, rep) -> tuple[list, int, int]:
-    """Flattened rep images with integer weights over a common denominator."""
+def _atom_images(mu: GenMeasure) -> tuple[list, int, int]:
+    """Flattened atom images under symplectic_image, with integer weights
+    over a common denominator."""
     denom = 1
     for _, weight in mu.atoms:
         denom = denom * weight.denominator // gcd(denom, weight.denominator)
     images = []
     for word, weight in mu.atoms:
-        m = rep(word)
+        m = symplectic_image(word)
         images.append((_flatten(m), weight.numerator * (denom // weight.denominator)))
-    d = len(rep(mu.atoms[0][0]))
+    d = len(symplectic_image(mu.atoms[0][0]))
     return images, denom, d
 
 
@@ -77,12 +78,12 @@ def _convolve_states(states: dict, images: list, d: int) -> dict:
     return new
 
 
-def step_distribution(mu: GenMeasure, rep=burau_minus1, k: int = 1) -> dict:
-    """Exact pushforward of the k-fold convolution of mu through rep, as
-    {nested-tuple matrix: Fraction}."""
+def step_distribution(mu: GenMeasure, k: int = 1) -> dict:
+    """Exact pushforward of the k-fold convolution of mu through
+    symplectic_image, as {nested-tuple matrix: Fraction}."""
     if k < 0:
         raise ValueError("step count must be >= 0")
-    images, denom, d = _atom_images(mu, rep)
+    images, denom, d = _atom_images(mu)
     states = {_flatten(identity(d)): 1}
     for _ in range(k):
         states = _convolve_states(states, images, d)
@@ -90,9 +91,7 @@ def step_distribution(mu: GenMeasure, rep=burau_minus1, k: int = 1) -> dict:
     return {_unflatten(key, d): Fraction(num, scale) for key, num in states.items()}
 
 
-def hitting_series(
-    mu: GenMeasure, predicate, kmax: int, rep=burau_minus1
-) -> list[Fraction]:
+def hitting_series(mu: GenMeasure, predicate, kmax: int) -> list[Fraction]:
     """Exact values of P(predicate holds at step k) for k = 0..kmax, with the
     predicate (a name from PREDICATES or a function on one nested-tuple
     matrix) evaluated once per distinct matrix."""
@@ -100,7 +99,7 @@ def hitting_series(
         raise ValueError("step count must be >= 0")
     if isinstance(predicate, str):
         predicate = PREDICATES[predicate]
-    images, denom, d = _atom_images(mu, rep)
+    images, denom, d = _atom_images(mu)
     states = {_flatten(identity(d)): 1}
     seen: dict = {}
 

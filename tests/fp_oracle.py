@@ -74,7 +74,7 @@ def finite_step_distribution(
 ) -> dict:
     """Law of the mod-p walk after k steps, as {FpMatrix: Fraction}."""
     out: dict = {}
-    for m, prob in step_distribution(mu, rep=symplectic_image, k=k).items():
+    for m, prob in step_distribution(mu, k=k).items():
         key = reduce_mod_p(m, p, projective)
         out[key] = out.get(key, Fraction(0)) + prob
     return out
@@ -118,7 +118,7 @@ def finite_walk_tv(
     closure = _semigroup_closure(gens, order)
     generated = len(closure) == order
 
-    images, denom, d = _atom_images(mu, symplectic_image)
+    images, denom, d = _atom_images(mu)
     fp_images = [
         (reduce_mod_p(_unflatten(img, d), p, projective), wnum) for img, wnum in images
     ]

@@ -4,6 +4,7 @@ import time
 import tracemalloc
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import product
 
 import numpy as np
 import pytest
@@ -36,23 +37,22 @@ from fp_oracle import FpMatrix, finite_step_distribution, reduce_mod_p
 from linalg_oracle import det_laplace
 
 MU3 = GenMeasure.uniform_generators(3)
+MU4 = GenMeasure.uniform_generators(4)
 
 
-def _walk_laws(mu, rep, kmax):
-    """Exact laws of the walk on the rep images of the atoms at steps
-    k = 0..kmax: walks._laws from the identity, with the weights and count
-    dtype of walks._walk_atoms, which also refuses kmax < 0.  The walk API
-    steps burau_minus1 alone; rep = symplectic_image steps rho_n."""
-    _, weights, denom = walks._walk_atoms(mu, kmax)
-    mats = walks._atom_images(mu, rep)[0]
+def _walk_laws(mu, kmax):
+    """Exact laws of the walk at steps k = 0..kmax: walks._laws from the
+    identity on the atoms of walks._walk_atoms, which also refuses
+    kmax < 0."""
+    mats, weights, denom = walks._walk_atoms(mu, kmax)
     return walks._laws(mats, weights, denom, kmax, np.eye(mats.shape[1], dtype=np.int64))
 
 
-def _law(mu, rep, k):
+def _law(mu, k):
     """The step-k law that _walk_laws yields, as {nested-tuple matrix:
     Fraction}, after checking that its states are distinct and that its
     counts sum to its scale."""
-    for states, counts, scale in _walk_laws(mu, rep, k):
+    for states, counts, scale in _walk_laws(mu, k):
         pass
     law = {
         tuple(map(tuple, m)): Fraction(c, scale)
@@ -94,16 +94,24 @@ def test_uniform_generators_refuses_fewer_than_two_strands(strands):
         GenMeasure.uniform_generators(strands)
 
 
+def test_uniform_generators_takes_strands_as_an_int():
+    # a float failed inside range and True was read as 1 strand
+    for strands in (3.0, True, "3"):
+        with pytest.raises(ValueError, match=r"^strands must be an int, got %r$" % (strands,)):
+            GenMeasure.uniform_generators(strands)
+    assert GenMeasure.uniform_generators(np.int64(3)) == MU3
+
+
 def test_walk_law_anchors():
-    assert _law(MU3, burau_minus1, 0) == {identity(2): Fraction(1)}
-    d1 = _law(MU3, burau_minus1, 1)
+    assert _law(MU3, 0) == {identity(2): Fraction(1)}
+    d1 = _law(MU3, 1)
     assert len(d1) == 4 and sum(d1.values()) == 1
-    d2 = _law(MU3, burau_minus1, 2)
+    d2 = _law(MU3, 2)
     assert sum(d2.values()) == 1
     # g then g^-1 for each of the four letters: mass 4/16 at the identity
     assert d2[identity(2)] == Fraction(1, 4)
     with pytest.raises(ValueError):
-        next(_walk_laws(MU3, burau_minus1, -1))
+        next(_walk_laws(MU3, -1))
 
 
 def test_hitting_series_anchors():
@@ -487,10 +495,60 @@ def test_reduce_mod_p_multiplicative():
 def test_finite_step_distribution_is_pushforward():
     k = 4
     pushed: dict = {}
-    for m, prob in _law(MU3, symplectic_image, k).items():
+    for m, prob in _law(MU3, k).items():
         key = reduce_mod_p(m, 5, projective=False)
         pushed[key] = pushed.get(key, Fraction(0)) + prob
     assert finite_step_distribution(MU3, 5, projective=False, k=k) == pushed
+
+
+def test_four_strand_walk_steps_rho_4_by_brute_force():
+    # every word of length k <= 6 through symplectic_image, the 2x2 rho_4;
+    # the 3x3 Burau image at t = -1 gives 659/5832 at k = 6
+    letters = [word.letters[0] for word, _ in MU4.atoms]
+    brute = [
+        Fraction(sum(abs(symplectic_image(BraidWord(4, word))[0][0]) > 2
+                     for word in product(letters, repeat=k)), 6 ** k)
+        for k in range(7)
+    ]
+    assert hitting_series(MU4, "z11", 6) == brute
+    assert brute[6] == Fraction(773, 3888)
+    # rho_4 atoms have row-sum norm 2, so the walk reaches k = 61 and no further
+    with pytest.raises(ValueError, match="2\\^62"):
+        hitting_series(MU4, "z11", 62)
+
+
+def test_four_strand_law_mod_p_is_the_finite_walk_law():
+    # the exact walk and finite_walk_tv step the same matrices: the exact
+    # law reduced mod 5 is the oracle's mod-5 law, and its distance to
+    # uniform on Sp(2, 5) is the TV of finite_walk_tv
+    res = finite_walk_tv(MU4, 5, steps=4)
+    uniform = Fraction(1, res.group_order)
+    for k in range(5):
+        pushed: dict = {}
+        for m, prob in _law(MU4, k).items():
+            key = reduce_mod_p(m, 5)
+            pushed[key] = pushed.get(key, Fraction(0)) + prob
+        assert pushed == finite_step_distribution(MU4, 5, k=k)
+        off = (res.group_order - len(pushed)) * uniform
+        assert res.tv[k] == (sum(abs(prob - uniform) for prob in pushed.values()) + off) / 2
+
+
+def test_walks_on_two_strands_are_refused_before_any_work(monkeypatch):
+    def no_work(*args, **kwargs):
+        raise AssertionError("the work started")
+
+    monkeypatch.setattr(walks, "_laws", no_work)
+    monkeypatch.setattr(walks, "_symplectic_group", no_work)
+    monkeypatch.setattr(np.random, "default_rng", no_work)
+    mu2 = GenMeasure.uniform_generators(2)
+    for call in (
+        lambda: hitting_series(mu2, "z11", 3),
+        lambda: hitting_series(mu2, "all-entries", 3),
+        lambda: monte_carlo_hitting(mu2, "z11", 3, trials=10),
+        lambda: finite_walk_tv(mu2, 3, steps=5),
+    ):
+        with pytest.raises(ValueError, match="^need at least 3 strands for a symplectic image$"):
+            call()
 
 
 def test_finite_walk_tv_small():
@@ -645,22 +703,21 @@ M22_NEGATIVE = (lambda s: s[:, 1, 1] < 0, lambda m: m[1][1] < 0)
 
 @given(
     st.sampled_from([3, 4, 5]),
-    st.sampled_from([burau_minus1, symplectic_image]),
     st.booleans(),
     st.sampled_from(["z11", ROW1_SUM]),
     st.data(),
 )
-@example(5, burau_minus1, True, "z11", None)
-@example(3, symplectic_image, False, "all-entries", None)
+@example(5, True, "z11", None)
+@example(3, False, "all-entries", None)
 @settings(max_examples=12, deadline=None)
-def test_walk_dp_matches_dict_oracle(strands, rep, skewed, predicate, data):
+def test_walk_dp_matches_dict_oracle(strands, skewed, predicate, data):
     mu = _skewed(strands) if skewed else GenMeasure.uniform_generators(strands)
     kmax = ORACLE_KMAX[strands]
     if data is not None:
         kmax = data.draw(st.integers(min_value=0, max_value=kmax))
     fast, slow = (predicate, predicate) if isinstance(predicate, str) else predicate
     assert hitting_series(mu, fast, kmax) == dp_oracle.hitting_series(mu, slow, kmax)
-    assert _law(mu, rep, kmax) == dp_oracle.step_distribution(mu, rep, kmax)
+    assert _law(mu, kmax) == dp_oracle.step_distribution(mu, kmax)
 
 
 def test_walk_dp_object_counts_beyond_int64():
@@ -669,11 +726,11 @@ def test_walk_dp_object_counts_beyond_int64():
     weights = (tiny, Fraction(1, 4), Fraction(1, 4), Fraction(1, 2) - tiny)
     mu = GenMeasure(tuple((BraidWord(3, (g,)), w) for g, w in zip(letters, weights)))
     # denom^1 = 2^40 fits int64, denom^2 = 2^80 does not
-    assert [law[1].dtype for law in _walk_laws(mu, burau_minus1, 1)] == [np.int64] * 2
-    assert [law[1].dtype for law in _walk_laws(mu, burau_minus1, 2)] == [object] * 3
+    assert [law[1].dtype for law in _walk_laws(mu, 1)] == [np.int64] * 2
+    assert [law[1].dtype for law in _walk_laws(mu, 2)] == [object] * 3
     for fast, slow in (("z11", "z11"), M22_NEGATIVE):
         assert hitting_series(mu, fast, 6) == dp_oracle.hitting_series(mu, slow, 6)
-    assert _law(mu, burau_minus1, 6) == dp_oracle.step_distribution(mu, k=6)
+    assert _law(mu, 6) == dp_oracle.step_distribution(mu, k=6)
 
 
 def test_entry_path_object_counts_beyond_int64_at_full_length():
@@ -702,7 +759,7 @@ def test_walk_dp_refuses_entry_overflow_before_work():
 @given(st.integers(min_value=0, max_value=5))
 @settings(max_examples=10, deadline=None)
 def test_distribution_total_is_one(k):
-    for states, counts, scale in _walk_laws(MU3, burau_minus1, k):
+    for states, counts, scale in _walk_laws(MU3, k):
         assert sum(counts.tolist()) == scale
 
 
@@ -737,7 +794,7 @@ def _entry_pair(i, j, test):
 @settings(max_examples=25, deadline=None)
 def test_entry_path_matches_matrix_dp(strands, skewed, test, data):
     mu = _skewed(strands) if skewed else GenMeasure.uniform_generators(strands)
-    d = len(burau_minus1(BraidWord(strands, (1,))))
+    d = len(symplectic_image(BraidWord(strands, (1,))))
     kmax = ORACLE_KMAX[strands]
     entries = [(i, j) for i in range(d) for j in range(d)]
     if data is not None:
