@@ -17,7 +17,6 @@ from .burau import (
 from .laurent import LaurentPoly
 from .lissajous import (
     LissajousClass,
-    LissajousParams,
     bezout_a,
     braid_from_parametrization,
     classify,
@@ -56,7 +55,6 @@ __all__ = [
     "GenMeasure",
     "LaurentPoly",
     "LissajousClass",
-    "LissajousParams",
     "SignatureResult",
     "alexander_at_minus1",
     "alexander_poly",

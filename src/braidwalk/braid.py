@@ -31,6 +31,17 @@ def _free_reduce(letters, strands: int) -> tuple[int, ...]:
     return tuple(stack)
 
 
+def _count(name: str, value) -> int:
+    """value taken through operator.index, so a numpy integer becomes an
+    int; a bool, float or string is refused with ValueError by name."""
+    if not isinstance(value, bool):
+        try:
+            return index(value)
+        except TypeError:
+            pass
+    raise ValueError("%s must be an int, got %r" % (name, value))
+
+
 @dataclass(frozen=True)
 class BraidWord:
     """Freely reduced braid word in B(strands).

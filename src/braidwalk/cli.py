@@ -374,7 +374,7 @@ def main(argv=None):
         if out:
             _check_out(out)
         _emit(args.fn(args), out)
-    except (ValueError, RuntimeError, OverflowError, ZeroDivisionError) as exc:
+    except (ValueError, RuntimeError, ArithmeticError) as exc:
         print("braidwalk: computation error: %s" % exc, file=sys.stderr)
         return 2
     except OSError as exc:

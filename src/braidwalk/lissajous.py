@@ -28,6 +28,10 @@ builds no BraidWord.
 The census (percentage_tables) applies one family test in both modes and
 fills both from one pass, classifying each reduced pair once; the modes
 differ only in which p in (q, 2q] they keep and in the denominator.
+
+Every count (q, p, n, samples) goes through braid._count before any work.
+The pair rule, q and p prime to 3 and to each other, is _check_pair: after
+q positive and odd in lambda_seq, after q, p > 0 in the parametrised sweep.
 """
 
 from __future__ import annotations
@@ -36,7 +40,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import cos, gcd, isfinite, pi, sin
 
-from .braid import BraidWord, closure_components
+from .braid import BraidWord, _count, closure_components
 from .burau import _minus1_3
 from .linalg import mat_mul, mat_transpose
 from .meyer import power_signatures
@@ -53,24 +57,17 @@ DEFAULT_TABLE_QS = tuple(
 )
 
 
-@dataclass(frozen=True)
-class LissajousParams:
-    """Frequency pair (q, p) with q odd and both prime to 3 and to each other."""
-
-    q: int
-    p: int
-
-    def __post_init__(self):
-        if self.q < 1 or self.q % 2 == 0:
-            raise ValueError("q must be a positive odd integer")
-        if gcd(self.q, 3) != 1 or gcd(self.p, 3) != 1:
-            raise ValueError("q and p must be prime to 3")
-        if gcd(self.q, self.p) != 1:
-            raise ValueError("q and p must be coprime")
+def _check_pair(q: int, p: int) -> None:
+    """The pair rule: q and p prime to 3 and to each other."""
+    if q % 3 == 0 or p % 3 == 0:
+        raise ValueError("q and p must be prime to 3")
+    if gcd(q, p) != 1:
+        raise ValueError("q and p must be coprime")
 
 
 def bezout_a(q: int) -> int:
     """The inverse of 6 mod q, in [0, q)."""
+    q = _count("q", q)
     if gcd(q, 6) != 1:
         raise ValueError("6 is not invertible mod %d" % q)
     return pow(6, -1, q)
@@ -82,7 +79,10 @@ def lambda_seq(q: int, p: int) -> tuple:
     A is the inverse of 6 mod q.  The sequence is antisymmetric about q/2
     and unchanged under p -> p + 2q.
     """
-    LissajousParams(q, p)
+    q, p = _count("q", q), _count("p", p)
+    if q < 1 or q % 2 == 0:
+        raise ValueError("q must be a positive odd integer")
+    _check_pair(q, p)
     a = bezout_a(q)
     return tuple(-1 if (2 * a * p * k) // q % 2 else 1 for k in range(1, q))
 
@@ -90,8 +90,7 @@ def lambda_seq(q: int, p: int) -> tuple:
 def _q_word(q: int, p: int) -> tuple[int, ...]:
     """Letters of the alternating word Q: letter k is sigma_2 for odd k,
     sigma_1 for even k, raised to lambda(k)."""
-    lam = lambda_seq(q, p)
-    return tuple((2 if k % 2 else 1) * lam[k - 1] for k in range(1, q))
+    return tuple((2 if k % 2 else 1) * s for k, s in enumerate(lambda_seq(q, p), 1))
 
 
 def _braid_of(qw: tuple[int, ...]) -> tuple[int, ...]:
@@ -132,6 +131,7 @@ def classify(q: int, p: int) -> LissajousClass:
     otherwise the matrix matches one of four small normal forms giving
     either a torus-knot family or a degenerate 3-component construction.
     """
+    q, p = _count("q", q), _count("p", p)
     qw = _q_word(q, p)
     # the half word P: the first (q-1)/2 letters of Q
     pm = _minus1_3(qw[: (q - 1) // 2])
@@ -162,12 +162,12 @@ def power_signature(q: int, p: int, n: int) -> int:
 
     Requires gcd(n, 3) = 1 so that the closure is a knot.
     """
+    n = _count("n", n)
     if n < 1:
         raise ValueError("n must be >= 1")
     if gcd(n, 3) != 1:
         raise ValueError("closure of the %d-th power is not a knot" % n)
-    word = lissajous_braid(q, p)
-    return power_signatures(word, n)[n - 1]
+    return power_signatures(lissajous_braid(q, p), n)[n - 1]
 
 
 # ---------------------------------------------------------------------------
@@ -202,10 +202,10 @@ def percentage_tables(qs=None) -> dict:
     all q integers in (q, 2q], which adds the even and non-coprime columns.
 
     Rows are dicts with q, numerator, denominator, fraction and the percent
-    rounded down to an integer.  Every q is checked (positive, odd and
-    prime to 3) before any pair is classified.
+    rounded down to an integer.  Every q is checked (an int, positive, odd
+    and prime to 3) before any pair is classified.
     """
-    qs = DEFAULT_TABLE_QS if qs is None else tuple(qs)
+    qs = DEFAULT_TABLE_QS if qs is None else tuple(_count("q", q) for q in qs)
     if any(q < 1 or q % 2 == 0 or q % 3 == 0 for q in qs):
         raise ValueError("table q values must be positive, odd and prime to 3")
     hyperbolic = {}
@@ -290,12 +290,10 @@ def braid_from_parametrization(q: int, p: int) -> BraidWord:
     """
     # unlike the lambda route, the sweep does not need q odd, only the
     # crossing structure to be generic and the closure to be a knot
+    q, p = _count("q", q), _count("p", p)
     if q < 1 or p < 1:
         raise ValueError("q and p must be positive")
-    if q % 3 == 0 or p % 3 == 0:
-        raise ValueError("q and p must be prime to 3")
-    if gcd(q, p) != 1:
-        raise ValueError("q and p must be coprime")
+    _check_pair(q, p)
 
     events = sorted(_crossing_events(q, p))
     n0 = events[0][0] + events[-1][0] - 4 * q
@@ -326,6 +324,7 @@ def braid_from_parametrization(q: int, p: int) -> BraidWord:
 
 def sample_polyline(q: int, p: int, alpha: float = 0.0, samples: int = 2000) -> dict:
     """Points along the space curve, for plotting or export."""
+    q, p, samples = _count("q", q), _count("p", p), _count("samples", samples)
     if q < 1 or p < 1:
         raise ValueError("q and p must be positive")
     if samples < 2:

@@ -45,7 +45,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .braid import BraidWord, writhe
+from .braid import BraidWord, _count, writhe
 from .burau import burau_minus1
 from .linalg import Matrix, identity, mat_mul, row_signature
 
@@ -134,6 +134,7 @@ def power_signatures(word: BraidWord, nmax: int) -> list[int]:
     Agrees with gg_signature on the expanded power word.
     """
     _check_three_strands(word)
+    nmax = _count("nmax", nmax)
     if nmax < 1:
         raise ValueError(f"nmax must be >= 1, got {nmax}")
     m = burau_minus1(word)

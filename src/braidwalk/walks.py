@@ -20,6 +20,8 @@ vectorised Monte Carlo path, one sampled run recording every prefix, is a
 statistical cross-check for the same hitting probabilities.  All of them
 refuse a step count k before any work when (largest row-sum norm of an
 atom image)^k >= 2^62, the bound beyond which an entry could leave int64.
+The exact paths also stop, with ValueError, at a step that would form more
+than MAX_STEP_PRODUCTS products, the memory bound.
 
 Walk predicates and entry polynomials work on stacked matrices: a
 predicate (PREDICATES) maps an (N, d, d) int64 array to N booleans (an
@@ -40,7 +42,6 @@ polynomials count over the same list.
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, permutations
@@ -49,7 +50,7 @@ from numbers import Rational
 
 # numpy is imported inside each function that calls it, so that importing
 # braidwalk, and so every command that never walks, loads no numpy.
-from .braid import BraidWord
+from .braid import BraidWord, _count
 from .burau import intersection_form, symplectic_image
 
 
@@ -184,7 +185,9 @@ def _laws(mats: np.ndarray, weights: np.ndarray, denom: int, kmax: int, start: n
     blocks in lexicographic order and their counts, which sum to
     scale = denom^k.  One step is a batched matmul of every state with every
     atom image, then a sort and a segment sum.  Counts take the dtype of
-    weights, which _walk_atoms sizes for the whole walk.
+    weights, which _walk_atoms sizes for the whole walk.  A step that would
+    form more than MAX_STEP_PRODUCTS products is refused with ValueError
+    before it allocates them.
     """
     import numpy as np
     m, d = start.shape
@@ -192,6 +195,11 @@ def _laws(mats: np.ndarray, weights: np.ndarray, denom: int, kmax: int, start: n
     counts = np.ones(1, dtype=weights.dtype)
     yield states, counts, 1
     for k in range(1, kmax + 1):
+        if len(states) * len(mats) > MAX_STEP_PRODUCTS:
+            raise ValueError(
+                "step %d would multiply %d states by %d atoms, more than"
+                " MAX_STEP_PRODUCTS = %d" % (k, len(states), len(mats), MAX_STEP_PRODUCTS)
+            )
         states = (states[:, None] @ mats[None]).reshape(-1, m, d)
         counts = (counts[:, None] * weights).reshape(-1)
         states, counts = _merge(states, counts)
@@ -237,17 +245,6 @@ def _named(table: dict, name, kind: str):
     if not isinstance(name, str) or name not in table:
         raise ValueError("unknown %s %r" % (kind, name))
     return table[name]
-
-
-def _count(name: str, value) -> int:
-    """value taken through operator.index, so a numpy integer becomes an
-    int; a bool, float or string is refused with ValueError by name."""
-    if not isinstance(value, bool):
-        try:
-            return operator.index(value)
-        except TypeError:
-            pass
-    raise ValueError("%s must be an int, got %r" % (name, value))
 
 
 def _booleans(result, shape: tuple, contract: str):
@@ -315,7 +312,8 @@ def hitting_series(mu: GenMeasure, predicate, kmax: int) -> list[Fraction]:
     predicate_z11) takes the meet-in-the-middle path, _entry_series; any
     other runs once per step on the distinct matrices of the matrix DP.
     kmax must be an int (numpy integers are taken through operator.index,
-    bools are refused).
+    bools are refused).  A step of either path that would form more than
+    MAX_STEP_PRODUCTS products is refused with ValueError.
     """
     import numpy as np
     kmax = _count("kmax", kmax)
@@ -455,6 +453,14 @@ MAX_GROUP_ORDER = 100_000
 """Largest group order, |Sp(2l, F_p)| or |PSp(2l, F_p)|, that finite_walk_tv,
 zero_density and enumerate_sp enumerate; a larger one is refused before any
 allocation."""
+
+
+MAX_STEP_PRODUCTS = 1 << 24
+"""Most products (states times atom images) that one step of _laws forms.
+A step costs about 140 bytes per product on 2x2 states and 330 on 4x4
+ones, so the 16.8 million products allowed come to about 2.4 GB on 3 and 4
+strands: the 3-strand matrix DP to k = 20 (12.6 million products at its
+last step) fits, and the 4-strand row law stops at step 21."""
 
 
 def _check_budget(order: int) -> None:

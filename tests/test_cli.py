@@ -386,6 +386,26 @@ def test_failed_computation_writes_no_out_file(capsys, tmp_path):
     assert not target.exists()
 
 
+def test_arithmetic_error_exits_2(capsys, monkeypatch):
+    # the "inexact division" of det_ring and row_signature is an
+    # ArithmeticError that is neither OverflowError nor ZeroDivisionError
+    def inexact(*args, **kwargs):
+        raise ArithmeticError("inexact division")
+
+    monkeypatch.setattr(cli, "alexander_poly", inexact)
+    rc, out, err = run(capsys, "alexander", "--word", "1 1 1", "--strands", "3")
+    assert (rc, out) == (2, "")
+    assert err == "braidwalk: computation error: inexact division\n"
+
+
+def test_exact_walk_step_limit_exits_2(capsys, monkeypatch):
+    monkeypatch.setattr(walks, "MAX_STEP_PRODUCTS", 100)
+    rc, out, err = run(capsys, "walk", "--exact", "--predicate", "all-entries", "--steps", "5")
+    assert (rc, out) == (2, "")
+    assert err == ("braidwalk: computation error: step 4 would multiply 34 states by 4 atoms,"
+                   " more than MAX_STEP_PRODUCTS = 100\n")
+
+
 def test_verify_oracle(capsys):
     rc, out, _ = run(capsys, "verify", "oracle", "--maxlen", "4")
     assert rc == 0

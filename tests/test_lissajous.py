@@ -1,19 +1,20 @@
 """Lissajous toric braids: crossing words, classification, census tables."""
 
+import re
 from fractions import Fraction
 from math import gcd, pi, sin
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from braidwalk import lissajous
+from braidwalk import lissajous, meyer
 from braidwalk.braid import BraidWord, closure_components
 from braidwalk.burau import burau_minus1
 from braidwalk.lissajous import (
     DEFAULT_TABLE_QS,
     TORUS,
     ZERO_SIG,
-    LissajousParams,
     bezout_a,
     braid_from_parametrization,
     classify,
@@ -24,6 +25,7 @@ from braidwalk.lissajous import (
     power_signature,
     sample_polyline,
 )
+from braidwalk.meyer import power_signatures
 import lissajous_oracle
 
 
@@ -40,17 +42,78 @@ def valid_pairs(qmax=35, pmax=30):
 
 
 def test_params_validation():
-    LissajousParams(5, 7)
-    with pytest.raises(ValueError):
-        LissajousParams(4, 5)  # even q
-    with pytest.raises(ValueError):
-        LissajousParams(9, 2)  # 3 | q
-    with pytest.raises(ValueError):
-        LissajousParams(5, 6)  # 3 | p
-    with pytest.raises(ValueError):
-        LissajousParams(5, 10)  # gcd 5
-    with pytest.raises(ValueError):
-        LissajousParams(-5, 2)
+    # lambda_seq's rules, which classify, lissajous_braid and
+    # power_signature take through it
+    for fn in (lambda_seq, classify):
+        fn(5, 7)
+        for q, p, message in [
+            (4, 5, "q must be a positive odd integer"),  # even q
+            (9, 2, "q and p must be prime to 3"),  # 3 | q
+            (5, 6, "q and p must be prime to 3"),  # 3 | p
+            (5, 10, "q and p must be coprime"),  # gcd 5
+            (-5, 2, "q must be a positive odd integer"),
+        ]:
+            with pytest.raises(ValueError, match="^%s$" % message):
+                fn(q, p)
+
+
+W3 = BraidWord(3, (1, 2, 1, 2))
+
+# (name of the count, a call that passes value as that count)
+COUNT_CALLS = {
+    "lambda_seq": [("q", lambda v: lambda_seq(v, 7)), ("p", lambda v: lambda_seq(5, v))],
+    "classify": [("q", lambda v: classify(v, 11)), ("p", lambda v: classify(7, v))],
+    "lissajous_braid": [("q", lambda v: lissajous_braid(v, 7)),
+                        ("p", lambda v: lissajous_braid(5, v))],
+    "bezout_a": [("q", lambda v: bezout_a(v))],
+    "power_signature": [("q", lambda v: power_signature(v, 7, 2)),
+                        ("p", lambda v: power_signature(5, v, 2)),
+                        ("n", lambda v: power_signature(5, 7, v))],
+    "percentage_tables": [("q", lambda v: percentage_tables((5, v)))],
+    "percentage_table": [("q", lambda v: percentage_table((v,), "full-range"))],
+    "braid_from_parametrization": [("q", lambda v: braid_from_parametrization(v, 1)),
+                                   ("p", lambda v: braid_from_parametrization(2, v))],
+    "sample_polyline": [("q", lambda v: sample_polyline(v, 2)),
+                        ("p", lambda v: sample_polyline(3, v)),
+                        ("samples", lambda v: sample_polyline(3, 2, samples=v))],
+    "power_signatures": [("nmax", lambda v: power_signatures(W3, v))],
+}
+
+
+@pytest.mark.parametrize("entry", sorted(COUNT_CALLS))
+def test_counts_are_refused_by_name_before_any_work(monkeypatch, entry):
+    # a bool, float or string count used to run (True as 1), to raise
+    # TypeError from inside range, gcd or pow, or to sample an open curve
+    def no_work(*args, **kwargs):
+        raise AssertionError("the work started")
+
+    monkeypatch.setattr(lissajous, "_minus1_3", no_work)
+    monkeypatch.setattr(lissajous, "_crossing_events", no_work)
+    monkeypatch.setattr(lissajous, "sin", no_work)
+    monkeypatch.setattr(meyer, "burau_minus1", no_work)
+    for name, call in COUNT_CALLS[entry]:
+        for value in (True, 5.0, "5"):
+            message = "^%s must be an int, got %s$" % (name, re.escape(repr(value)))
+            with pytest.raises(ValueError, match=message):
+                call(value)
+
+
+def test_numpy_counts_run_as_ints():
+    i64 = np.int64
+    assert lambda_seq(i64(5), i64(7)) == lambda_seq(5, 7)
+    res = classify(i64(7), i64(11))
+    assert res == classify(7, 11) and type(res.q) is int and type(res.p) is int
+    assert lissajous_braid(i64(5), i64(7)) == lissajous_braid(5, 7)
+    assert bezout_a(i64(7)) == 6 and type(bezout_a(i64(7))) is int
+    assert power_signature(i64(5), i64(1), i64(4)) == -6
+    tables = percentage_tables((i64(5), i64(7)))
+    assert tables == percentage_tables((5, 7))
+    assert all(type(row["q"]) is int for rows in tables.values() for row in rows)
+    assert percentage_table((i64(7),), "literal") == percentage_table((7,), "literal")
+    assert braid_from_parametrization(i64(2), i64(1)) == braid_from_parametrization(2, 1)
+    poly = sample_polyline(i64(3), i64(2), samples=i64(8))
+    assert poly == sample_polyline(3, 2, samples=8) and type(poly["q"]) is int
+    assert power_signatures(W3, i64(4)) == power_signatures(W3, 4)
 
 
 def test_bezout():

@@ -254,6 +254,22 @@ def test_monte_carlo_refuses_overflow_before_sampling(monkeypatch):
         monte_carlo_hitting(GenMeasure.uniform_generators(5), "z11", 40, trials=10)
 
 
+def test_exact_walk_step_limit(monkeypatch):
+    # the 3-strand matrix law has 81 states at step 4 and the row law 46 at
+    # step 4 (z11 to k = 10 walks rows to step 5); each step multiplies by
+    # 4 atom images
+    full = hitting_series(MU3, "all-entries", 5)
+    monkeypatch.setattr(walks, "MAX_STEP_PRODUCTS", 4 * 81)
+    assert hitting_series(MU3, "all-entries", 5) == full
+    monkeypatch.setattr(walks, "MAX_STEP_PRODUCTS", 4 * 81 - 1)
+    with pytest.raises(ValueError, match="^step 5 would multiply 81 states by 4 atoms, "
+                                         "more than MAX_STEP_PRODUCTS = 323$"):
+        hitting_series(MU3, "all-entries", 5)
+    monkeypatch.setattr(walks, "MAX_STEP_PRODUCTS", 4 * 46 - 1)
+    with pytest.raises(ValueError, match="^step 5 would multiply 46 states by 4 atoms"):
+        hitting_series(MU3, "z11", 10)
+
+
 def _row_only(entry, test):
     """An entry predicate that may only be tested on its entry: calling it
     on matrices fails."""
